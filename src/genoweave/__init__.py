@@ -9,146 +9,4 @@ decoded codewords.  The rates module provides the concatenation baseline
 these codes are measured against.
 """
 
-from .channels import (
-    ERASURE,
-    ChannelSpec,
-    ReceivedStrand,
-    apply_channel_pool,
-    bsc_apply,
-    bsc_pool,
-    delete_apply,
-    delete_at,
-    delete_pool,
-    delete_pool_coincident,
-    dna_pool_from_text,
-    dna_pool_to_text,
-    insert_apply,
-    insert_at,
-    insert_pool,
-    llr_of,
-    llr_table,
-    pool_from_text,
-    pool_to_text,
-    quaternary_merge,
-    quaternary_split,
-    symbols_to_llrs,
-)
-from .polar import (
-    EquivocationStats,
-    PolarCode,
-    PosteriorSample,
-    design_polar_code,
-    equivocation_stats,
-    genie_posteriors,
-    make_polar_code,
-    monte_carlo_construct,
-    polar_transform,
-    read_equivocations_csv,
-    sc_decode,
-    sc_decode_batch,
-    select_info_set,
-    write_equivocations_csv,
-)
-from .rates import (
-    FAMILIES,
-    RateFamily,
-    binom_cdf,
-    capacity,
-    concat_envelope,
-    concat_rate,
-    entropy,
-    redundancy,
-)
-from .sim import (
-    STRAND_LENGTH,
-    ConstructionPoint,
-    ExperimentConfig,
-    ExperimentResult,
-    derive_seed,
-    equivocation_histogram,
-    replay_pool,
-    results_to_csv,
-    run_construction_sweep,
-    run_pool_experiment,
-    run_quaternary_pool_experiment,
-    semilog_floor,
-)
-from .weave import (
-    BatchDecodeResult,
-    DecodeResult,
-    Pool,
-    decode_pool_batch,
-    pool_failure_check,
-    weave_decode,
-    weave_encode,
-    weave_quaternary,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ERASURE",
-    "FAMILIES",
-    "STRAND_LENGTH",
-    "BatchDecodeResult",
-    "ChannelSpec",
-    "ConstructionPoint",
-    "DecodeResult",
-    "EquivocationStats",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "PolarCode",
-    "Pool",
-    "PosteriorSample",
-    "RateFamily",
-    "ReceivedStrand",
-    "apply_channel_pool",
-    "binom_cdf",
-    "bsc_apply",
-    "bsc_pool",
-    "capacity",
-    "concat_envelope",
-    "concat_rate",
-    "decode_pool_batch",
-    "delete_apply",
-    "delete_at",
-    "delete_pool",
-    "delete_pool_coincident",
-    "derive_seed",
-    "design_polar_code",
-    "dna_pool_from_text",
-    "dna_pool_to_text",
-    "entropy",
-    "equivocation_histogram",
-    "equivocation_stats",
-    "genie_posteriors",
-    "insert_apply",
-    "insert_at",
-    "insert_pool",
-    "llr_of",
-    "llr_table",
-    "make_polar_code",
-    "monte_carlo_construct",
-    "polar_transform",
-    "pool_failure_check",
-    "pool_from_text",
-    "pool_to_text",
-    "quaternary_merge",
-    "quaternary_split",
-    "read_equivocations_csv",
-    "redundancy",
-    "replay_pool",
-    "results_to_csv",
-    "run_construction_sweep",
-    "run_pool_experiment",
-    "run_quaternary_pool_experiment",
-    "sc_decode",
-    "sc_decode_batch",
-    "select_info_set",
-    "semilog_floor",
-    "symbols_to_llrs",
-    "weave_decode",
-    "weave_encode",
-    "weave_quaternary",
-    "write_equivocations_csv",
-]

@@ -15,22 +15,14 @@ both parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ERASURE",
     "ChannelSpec",
-    "ReceivedStrand",
-    "bsc_apply",
-    "delete_apply",
-    "insert_apply",
-    "delete_at",
-    "insert_at",
-    "llr_of",
     "llr_table",
-    "symbols_to_llrs",
     "quaternary_split",
     "quaternary_merge",
     "bsc_pool",
@@ -63,40 +55,6 @@ class ChannelSpec:
             raise ValueError(f"error rate must lie in [0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class ReceivedStrand:
-    """Raw post-channel symbols plus the nominal pre-channel length.
-
-    symbols holds only surviving bits (no erasures); padded() right-pads
-    with ERASURE so every strand presents at least original_length symbols
-    to the decoder.
-    """
-
-    symbols: np.ndarray = field(repr=False)
-    original_length: int = 256
-
-    def __post_init__(self) -> None:
-        sym = np.asarray(self.symbols, dtype=np.uint8).copy()
-        if sym.ndim != 1:
-            raise ValueError("symbols must be a vector")
-        if sym.size and not np.isin(sym, (0, 1)).all():
-            raise ValueError("raw symbols must be binary")
-        if self.original_length < 1:
-            raise ValueError(f"original length must be positive, got {self.original_length}")
-        sym.setflags(write=False)
-        object.__setattr__(self, "symbols", sym)
-
-    def __len__(self) -> int:
-        return int(self.symbols.size)
-
-    def padded(self, width: int | None = None) -> np.ndarray:
-        if width is None:
-            width = self.original_length
-        out = np.full(max(width, self.symbols.size), ERASURE, dtype=np.uint8)
-        out[: self.symbols.size] = self.symbols
-        return out
-
-
 def _check_strand(strand) -> np.ndarray:
     s = np.asarray(strand, dtype=np.uint8)
     if s.ndim != 1 or s.size == 0:
@@ -104,60 +62,6 @@ def _check_strand(strand) -> np.ndarray:
     if not np.isin(s, (0, 1)).all():
         raise ValueError("strand must be binary")
     return s
-
-
-# ---------------------------------------------------------------------------
-# per-strand channels
-
-
-def bsc_apply(strand, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability delta."""
-    s = _check_strand(strand)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"crossover must lie in [0, 1), got {delta}")
-    flips = rng.random(s.size) < delta
-    return s ^ flips.astype(np.uint8)
-
-
-def delete_apply(strand, delta: float, rng: np.random.Generator) -> ReceivedStrand:
-    """Keep each symbol with probability 1 - delta, in order, gaps closed."""
-    s = _check_strand(strand)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"deletion rate must lie in [0, 1), got {delta}")
-    keep = rng.random(s.size) >= delta
-    return ReceivedStrand(symbols=s[keep], original_length=s.size)
-
-
-def insert_apply(strand, delta: float, rng: np.random.Generator) -> ReceivedStrand:
-    """One Bernoulli(delta) trial per symbol; a uniform bit lands before it."""
-    s = _check_strand(strand)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"insertion rate must lie in [0, 1), got {delta}")
-    ins = rng.random(s.size) < delta
-    bits = rng.integers(0, 2, size=s.size, dtype=np.uint8)
-    shift = np.cumsum(ins)
-    out = np.empty(s.size + int(shift[-1]), dtype=np.uint8)
-    out[np.arange(s.size) + shift] = s
-    out[(np.arange(s.size) + shift - 1)[ins]] = bits[ins]
-    return ReceivedStrand(symbols=out, original_length=s.size)
-
-
-def delete_at(strand, position: int) -> ReceivedStrand:
-    """Remove exactly the symbol at the given index (for planted-error tests)."""
-    s = _check_strand(strand)
-    if not 0 <= position < s.size:
-        raise ValueError(f"position {position} out of range for length {s.size}")
-    return ReceivedStrand(symbols=np.delete(s, position), original_length=s.size)
-
-
-def insert_at(strand, position: int, symbol: int) -> ReceivedStrand:
-    """Insert one symbol immediately before the given index."""
-    s = _check_strand(strand)
-    if not 0 <= position <= s.size:
-        raise ValueError(f"position {position} out of range for length {s.size}")
-    if symbol not in (0, 1):
-        raise ValueError(f"inserted symbol must be a bit, got {symbol}")
-    return ReceivedStrand(symbols=np.insert(s, position, symbol), original_length=s.size)
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +78,6 @@ def llr_table(delta_model: float) -> np.ndarray:
     """LLRs indexed by symbol value: [LLR(0), LLR(1), LLR(erasure)]."""
     l0 = math.log((1.0 - _check_llr_delta(delta_model)) / delta_model)
     return np.array([l0, -l0, 0.0])
-
-
-def llr_of(symbol: int, delta_model: float) -> float:
-    """Log-likelihood ratio of one observed symbol under a BSC model.
-
-    Positive favors 0; an erasure carries no evidence and maps to 0.
-    """
-    if symbol not in (0, 1, ERASURE):
-        raise ValueError(f"symbol must be 0, 1, or ERASURE, got {symbol}")
-    return float(llr_table(delta_model)[symbol])
-
-
-def symbols_to_llrs(symbols, delta_model: float) -> np.ndarray:
-    """Vectorized llr_of over an array of symbols (any shape)."""
-    sym = np.asarray(symbols)
-    if sym.size and not np.isin(sym, (0, 1, ERASURE)).all():
-        raise ValueError("symbols must be 0, 1, or ERASURE")
-    return llr_table(delta_model)[sym]
 
 
 # ---------------------------------------------------------------------------

@@ -79,15 +79,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
-    fam = RateFamily(q=args.q, family=args.family)
-    grid = _delta_grid(args.grid_points)
-    lines = ["# seed=none", "delta,d,rate,envelope_rate,envelope_opt_d"]
-    for delta in grid:
+def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
+    """delta,d,rate,envelope_rate,envelope_opt_d rows over the delta grid."""
+    rows = []
+    for delta in _delta_grid(args.grid_points):
         env_rate, env_d = concat_envelope(fam, float(delta), args.ell)
         for d in range(args.dmax + 1):
             r = concat_rate(fam, float(delta), d, args.ell)
-            lines.append(f"{float(delta)!r},{d},{float(r)!r},{float(env_rate)!r},{env_d}")
+            rows.append(f"{float(delta)!r},{d},{float(r)!r},{float(env_rate)!r},{env_d}")
+    return rows
+
+
+def _cmd_rates(args: argparse.Namespace) -> int:
+    lines = ["# seed=none", "delta,d,rate,envelope_rate,envelope_opt_d"]
+    lines += _concat_rows(RateFamily(q=args.q, family=args.family), args)
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -135,16 +140,9 @@ def _figure_scalar(args: argparse.Namespace) -> str:
 
 
 def _figure_concat(args: argparse.Namespace, q: int) -> str:
-    grid = _delta_grid(args.grid_points)
     lines = ["# seed=none", "family,delta,d,rate,envelope_rate,envelope_opt_d"]
     for family in rates_mod.FAMILIES:
-        fam = RateFamily(q=q, family=family)
-        for delta in grid:
-            env_rate, env_d = concat_envelope(fam, float(delta), args.ell)
-            for d in range(args.dmax + 1):
-                r = concat_rate(fam, float(delta), d, args.ell)
-                lines.append(f"{family},{float(delta)!r},{d},{float(r)!r},"
-                             f"{float(env_rate)!r},{env_d}")
+        lines += [f"{family},{row}" for row in _concat_rows(RateFamily(q=q, family=family), args)]
     return "\n".join(lines) + "\n"
 
 

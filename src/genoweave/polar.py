@@ -21,13 +21,9 @@ import numpy as np
 
 __all__ = [
     "PolarCode",
-    "PosteriorSample",
-    "EquivocationStats",
     "polar_transform",
-    "sc_decode",
     "sc_decode_batch",
     "genie_posteriors",
-    "monte_carlo_construct",
     "equivocation_stats",
     "select_info_set",
     "make_polar_code",
@@ -91,16 +87,15 @@ class PolarCode:
 
     equivocations[j] is the estimated conditional entropy of bit channel j
     under the design BSC; info_set holds the indices selected as data
-    carriers.  frozen_values is a full-length vector read only at frozen
-    positions (all zeros unless stated otherwise).  Instances are
-    immutable and safe to share across threads.
+    carriers, and every other position (frozen_mask) carries the constant
+    0.  Instances are immutable and safe to share across threads.
     """
 
     n: int
     design_delta: float
     equivocations: np.ndarray = field(repr=False)
     info_set: np.ndarray = field(repr=False)
-    frozen_values: np.ndarray = field(repr=False)
+    frozen_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_pow2(self.n):
@@ -117,17 +112,11 @@ class PolarCode:
             raise ValueError("info_set must be strictly increasing")
         if info.size and (info[0] < 0 or info[-1] >= self.n):
             raise ValueError("info_set index out of range")
-        fz = np.asarray(self.frozen_values, dtype=np.uint8).copy()
-        if fz.shape != (self.n,) or not np.isin(fz, (0, 1)).all():
-            raise ValueError("frozen_values must be a length-n bit-vector")
         mask = np.ones(self.n, dtype=bool)
         mask[info] = False
-        for name, arr in (("equivocations", eq), ("info_set", info),
-                          ("frozen_values", fz), ("frozen_mask", mask)):
+        for name, arr in (("equivocations", eq), ("info_set", info), ("frozen_mask", mask)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    frozen_mask: np.ndarray = field(default=None, repr=False)  # filled in __post_init__
 
     @property
     def k(self) -> int:
@@ -139,8 +128,7 @@ class PolarCode:
 
 
 def make_polar_code(n: int, design_delta: float, equivocations,
-                    threshold: float | None = None,
-                    frozen_values=None) -> PolarCode:
+                    threshold: float | None = None) -> PolarCode:
     """Build a PolarCode from an equivocation vector.
 
     threshold defaults to 1/(256 n), the per-pool budget split evenly over
@@ -151,17 +139,13 @@ def make_polar_code(n: int, design_delta: float, equivocations,
     if threshold is None:
         threshold = 1.0 / (256.0 * n)
     info = select_info_set(eq, threshold)
-    if frozen_values is None:
-        frozen_values = np.zeros(n, dtype=np.uint8)
-    return PolarCode(n=n, design_delta=design_delta, equivocations=eq,
-                     info_set=info, frozen_values=frozen_values)
+    return PolarCode(n=n, design_delta=design_delta, equivocations=eq, info_set=info)
 
 
 def design_polar_code(n: int, delta: float, samples: int = 1000, seed: int = 0,
-                      threshold: float | None = None,
-                      batch_size: int | None = None) -> PolarCode:
+                      threshold: float | None = None) -> PolarCode:
     """Monte-Carlo construct a code for BSC(delta) and select its info set."""
-    eq = monte_carlo_construct(n, delta, samples=samples, seed=seed, batch_size=batch_size)
+    eq = equivocation_stats(n, delta, samples=samples, seed=seed).equivocations
     return make_polar_code(n, delta, eq, threshold=threshold)
 
 
@@ -203,14 +187,13 @@ def _gfun_robust(a, b, x):
 
 def _sc_batch(llrs: np.ndarray,
               frozen_mask: np.ndarray | None,
-              frozen_values: np.ndarray | None,
               forced: np.ndarray | None = None,
               leaf_llrs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run B successive-cancellation decoders in lock step.
 
     llrs is (B, n).  When forced is given, leaf decisions are overridden by
-    it (the genie path); otherwise frozen positions take frozen_values and
-    data positions take the sign decision, with LLR == 0 decoding to 0.
+    it (the genie path); otherwise frozen positions decode to 0 and data
+    positions take the sign decision, with LLR == 0 decoding to 0.
     leaf_llrs, when provided, receives the decision-point LLR of every leaf.
     Returns (u_hat, x_hat), both (B, n) uint8.
     """
@@ -228,7 +211,7 @@ def _sc_batch(llrs: np.ndarray,
         if forced is not None:
             return forced[:, j]
         if frozen_mask[j]:
-            return np.full(B, frozen_values[j], dtype=np.uint8)
+            return np.zeros(B, dtype=np.uint8)
         return (lam < 0).astype(np.uint8)
 
     def node(lam: np.ndarray, j0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,20 +247,7 @@ def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ValueError(f"expected LLR shape (B, {code.n}), got {llrs.shape}")
-    return _sc_batch(llrs, code.frozen_mask, code.frozen_values)
-
-
-def sc_decode(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
-    """Successive-cancellation decode one LLR vector.
-
-    Returns (u_hat, x_hat) where u_hat agrees with code.frozen_values on
-    frozen indices and x_hat = polar_transform(u_hat).
-    """
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.ndim != 1 or llrs.shape[0] != code.n:
-        raise ValueError(f"expected {code.n} LLRs, got shape {llrs.shape}")
-    u, x = _sc_batch(llrs[None, :], code.frozen_mask, code.frozen_values)
-    return u[0], x[0]
+    return _sc_batch(llrs, code.frozen_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +302,7 @@ def genie_posteriors(llrs, true_u) -> PosteriorSample:
     if tu.shape != (n,) or (tu.size and not np.isin(tu, (0, 1)).all()):
         raise ValueError("true_u must be a length-n bit-vector")
     leaf = np.empty((1, n), dtype=np.float64)
-    _sc_batch(llrs[None, :], None, None,
+    _sc_batch(llrs[None, :], None,
               forced=np.ascontiguousarray(tu, dtype=np.uint8)[None, :],
               leaf_llrs=leaf)
     return PosteriorSample(rho=_sigmoid(leaf[0]))
@@ -393,7 +363,7 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
             noise[i] = np.random.default_rng([seed, start + i]).random(n)
         flips = noise[:c] < delta
         lam = llr0 * (1.0 - 2.0 * flips)
-        _sc_batch(lam, None, None, forced=forced[:c], leaf_llrs=leaf[:c])
+        _sc_batch(lam, None, forced=forced[:c], leaf_llrs=leaf[:c])
         h = _h2_of_llr(leaf[:c])
         # accumulate sample by sample so the result cannot depend on chunking
         for i in range(c):
@@ -406,13 +376,6 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
     var = max(0.0, tot_sq / samples - mean * mean)
     se = math.sqrt(var / samples)
     return EquivocationStats(equivocations=eq, total_mean=mean, total_se=se, samples=samples)
-
-
-def monte_carlo_construct(n: int, delta: float, samples: int = 1000, seed: int = 0,
-                          batch_size: int | None = None) -> np.ndarray:
-    """Monte-Carlo bit-channel equivocations H(W_j) for BSC(delta), length n."""
-    return equivocation_stats(n, delta, samples=samples, seed=seed,
-                              batch_size=batch_size).equivocations
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelSpec, apply_channel_pool, delete_pool_coincident
+from .channels import CHANNEL_KINDS, ChannelSpec, apply_channel_pool, delete_pool_coincident
 from .polar import PolarCode, design_polar_code
 from .weave import decode_pool_batch, weave_encode
 
 __all__ = [
     "STRAND_LENGTH",
     "ExperimentConfig",
-    "ExperimentResult",
-    "ConstructionPoint",
     "derive_seed",
     "run_construction_sweep",
     "run_pool_experiment",
@@ -45,7 +43,8 @@ __all__ = [
 
 STRAND_LENGTH = 256
 
-_MODE_OF_KIND = {"deletion": "push", "insertion": "pull", "substitution": "fixed"}
+_MODE_OF_KIND = {"deletion": "push", "insertion": "pull", "substitution": "fixed",
+                 "quaternary": "push"}
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
-        if self.error_kind not in _MODE_OF_KIND:
+        if self.error_kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown error kind {self.error_kind!r}")
         deltas = tuple(float(d) for d in self.delta_list)
         if not deltas:
@@ -164,12 +163,60 @@ def _pool_batch_size(n: int, width: int, pools: int) -> int:
     return max(1, min(pools, (1 << 26) // max(n * width, 1)))
 
 
-def _generate_pool(rng: np.random.Generator, code: PolarCode, spec: ChannelSpec
+def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: float
                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one pool of the given kind from its stream: the info bits, then the channel.
+
+    Returns (truth, obs) with a leading component axis: one component for
+    the binary kinds, the (real, imag) pair for quaternary, whose parts
+    share one kept-set per strand.
+    """
+    if kind == "quaternary":
+        info = np.stack([rng.integers(0, 2, size=(STRAND_LENGTH, code.k), dtype=np.uint8)
+                         for _ in range(2)])
+        pool_r, pool_i = (weave_encode(part, code) for part in info)
+        parts = delete_pool_coincident(pool_r.strands, pool_i.strands, delta, rng)
+        return info, np.stack([obs for obs, _ in parts])
     info = rng.integers(0, 2, size=(STRAND_LENGTH, code.k), dtype=np.uint8)
     pool = weave_encode(info, code)
-    obs, _ = apply_channel_pool(pool.strands, spec, rng)
-    return info, obs
+    obs, _ = apply_channel_pool(pool.strands, ChannelSpec(kind=kind, delta=delta), rng)
+    return info[None], obs[None]
+
+
+def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
+               kind: str) -> list[ExperimentResult]:
+    # Each component decodes as its own batch of pools; a pool fails when
+    # any decoded info bit of any component differs from the truth.
+    mode = _MODE_OF_KIND[kind]
+    parts = 2 if kind == "quaternary" else 1
+    width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
+    results = []
+    for delta in config.delta_list:
+        code = codes[delta] if codes and delta in codes else _construct(config, delta)
+        cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
+        t0 = time.perf_counter()
+        failed: list[int] = []
+        batch = _pool_batch_size(config.n, width, config.pools)
+        for start in range(0, config.pools, batch):
+            count = min(batch, config.pools - start)
+            obs = np.empty((parts, count, config.n, width), dtype=np.uint8)
+            truth = np.empty((parts, count, STRAND_LENGTH, code.k), dtype=np.uint8)
+            for b in range(count):
+                rng = np.random.default_rng([cell_seed, start + b])
+                truth[:, b], obs[:, b] = _generate_pool(rng, code, kind, delta)
+            bad = np.zeros(count, dtype=bool)
+            for part_obs, part_truth in zip(obs, truth):
+                res = decode_pool_batch(part_obs, code, mode, STRAND_LENGTH)
+                bad |= (res.info_bits != part_truth).any(axis=(1, 2))
+            failed.extend(int(start + i) for i in np.flatnonzero(bad))
+            _progress(f"pools n={config.n} delta={delta:g} kind={kind} "
+                      f"{start + count}/{config.pools} failures={len(failed)}")
+        results.append(ExperimentResult(
+            n=config.n, delta=delta, error_kind=kind,
+            pools_run=config.pools, failure_count=len(failed),
+            code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,
+            wall_time=time.perf_counter() - t0, failed_pools=tuple(failed)))
+    return results
 
 
 def run_pool_experiment(config: ExperimentConfig,
@@ -180,46 +227,7 @@ def run_pool_experiment(config: ExperimentConfig,
     A pool counts as failed when any decoded info bit differs from the
     truth.  Codes are constructed per delta unless supplied in codes.
     """
-    results = []
-    mode = _MODE_OF_KIND[config.error_kind]
-    width = STRAND_LENGTH if mode in ("push", "fixed") else 2 * STRAND_LENGTH
-    for delta in config.delta_list:
-        code = codes[delta] if codes and delta in codes else _construct(config, delta)
-        spec = ChannelSpec(kind=config.error_kind, delta=delta)
-        cell_seed = derive_seed(config.master_seed, "pools", config.error_kind,
-                                config.n, delta)
-        t0 = time.perf_counter()
-        failed: list[int] = []
-        batch = _pool_batch_size(config.n, width, config.pools)
-        for start in range(0, config.pools, batch):
-            count = min(batch, config.pools - start)
-            obs = np.empty((count, config.n, width), dtype=np.uint8)
-            truth = np.empty((count, STRAND_LENGTH, code.k), dtype=np.uint8)
-            for b in range(count):
-                rng = np.random.default_rng([cell_seed, start + b])
-                truth[b], obs[b] = _generate_pool(rng, code, spec)
-            res = decode_pool_batch(obs, code, mode, STRAND_LENGTH)
-            bad = (res.info_bits != truth).any(axis=(1, 2))
-            failed.extend(int(start + i) for i in np.flatnonzero(bad))
-            _progress(f"pools n={config.n} delta={delta:g} kind={config.error_kind} "
-                      f"{start + count}/{config.pools} failures={len(failed)}")
-        results.append(ExperimentResult(
-            n=config.n, delta=delta, error_kind=config.error_kind,
-            pools_run=config.pools, failure_count=len(failed),
-            code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,
-            wall_time=time.perf_counter() - t0, failed_pools=tuple(failed)))
-    return results
-
-
-def _generate_quaternary_pool(rng: np.random.Generator, code: PolarCode, delta: float
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    info_r = rng.integers(0, 2, size=(STRAND_LENGTH, code.k), dtype=np.uint8)
-    info_i = rng.integers(0, 2, size=(STRAND_LENGTH, code.k), dtype=np.uint8)
-    pool_r = weave_encode(info_r, code)
-    pool_i = weave_encode(info_i, code)
-    (obs_r, _), (obs_i, _) = delete_pool_coincident(pool_r.strands, pool_i.strands,
-                                                    delta, rng)
-    return info_r, info_i, obs_r, obs_i
+    return _run_cells(config, codes, config.error_kind)
 
 
 def run_quaternary_pool_experiment(config: ExperimentConfig,
@@ -228,56 +236,26 @@ def run_quaternary_pool_experiment(config: ExperimentConfig,
     """Deletion-channel failure counts for quaternary pools.
 
     Each pool is a pair of binary component pools sharing one deletion
-    pattern per strand; the pool fails when either part fails.
+    pattern per strand; the pool fails when either part fails.  Rows carry
+    error_kind "quaternary".
     """
     if config.error_kind != "deletion":
         raise ValueError("quaternary pools run on the deletion channel")
-    results = []
-    width = STRAND_LENGTH
-    for delta in config.delta_list:
-        code = codes[delta] if codes and delta in codes else _construct(config, delta)
-        cell_seed = derive_seed(config.master_seed, "pools", "quaternary",
-                                config.n, delta)
-        t0 = time.perf_counter()
-        failed: list[int] = []
-        batch = _pool_batch_size(config.n, width, config.pools)
-        for start in range(0, config.pools, batch):
-            count = min(batch, config.pools - start)
-            obs_r = np.empty((count, config.n, width), dtype=np.uint8)
-            obs_i = np.empty((count, config.n, width), dtype=np.uint8)
-            truth_r = np.empty((count, STRAND_LENGTH, code.k), dtype=np.uint8)
-            truth_i = np.empty((count, STRAND_LENGTH, code.k), dtype=np.uint8)
-            for b in range(count):
-                rng = np.random.default_rng([cell_seed, start + b])
-                truth_r[b], truth_i[b], obs_r[b], obs_i[b] = \
-                    _generate_quaternary_pool(rng, code, delta)
-            res_r = decode_pool_batch(obs_r, code, "push", STRAND_LENGTH)
-            res_i = decode_pool_batch(obs_i, code, "push", STRAND_LENGTH)
-            bad = ((res_r.info_bits != truth_r).any(axis=(1, 2))
-                   | (res_i.info_bits != truth_i).any(axis=(1, 2)))
-            failed.extend(int(start + i) for i in np.flatnonzero(bad))
-            _progress(f"pools n={config.n} delta={delta:g} kind=quaternary "
-                      f"{start + count}/{config.pools} failures={len(failed)}")
-        results.append(ExperimentResult(
-            n=config.n, delta=delta, error_kind="deletion",
-            pools_run=config.pools, failure_count=len(failed),
-            code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,
-            wall_time=time.perf_counter() - t0, failed_pools=tuple(failed)))
-    return results
+    return _run_cells(config, codes, "quaternary")
 
 
 def replay_pool(code: PolarCode, error_kind: str, delta: float, cell_seed: int,
                 pool_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Regenerate one pool by its stream and decode it again.
 
-    Returns (true_info, decoded_info) so callers can re-verify a recorded
-    failure against ground truth.
+    error_kind is a result row's, so "quaternary" replays both components.
+    Returns (true_info, decoded_info), each with a leading component axis,
+    so callers can re-verify a recorded failure against ground truth.
     """
-    mode = _MODE_OF_KIND[error_kind]
     rng = np.random.default_rng([cell_seed, pool_index])
-    info, obs = _generate_pool(rng, code, ChannelSpec(kind=error_kind, delta=delta))
-    res = decode_pool_batch(obs[None, :, :], code, mode, STRAND_LENGTH)
-    return info, res.info_bits[0]
+    truth, obs = _generate_pool(rng, code, error_kind, delta)
+    res = decode_pool_batch(obs, code, _MODE_OF_KIND[error_kind], STRAND_LENGTH)
+    return truth, res.info_bits
 
 
 # ---------------------------------------------------------------------------

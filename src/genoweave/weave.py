@@ -13,28 +13,16 @@ contradicts anything, so padding cannot move an offset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    ERASURE,
-    ChannelSpec,
-    ReceivedStrand,
-    delete_pool_coincident,
-    llr_table,
-)
+from .channels import ERASURE, llr_table
 from .polar import PolarCode, polar_transform, sc_decode_batch
 
 __all__ = [
     "Pool",
-    "DecodeResult",
-    "BatchDecodeResult",
     "weave_encode",
-    "weave_decode",
     "decode_pool_batch",
-    "pool_failure_check",
-    "weave_quaternary",
 ]
 
 DECODE_MODES = ("push", "pull", "fixed")
@@ -65,21 +53,10 @@ class Pool:
 
 
 @dataclass(frozen=True)
-class DecodeResult:
-    """Decoded info rows, the re-encoded pool, and the final per-strand offsets."""
-
-    info_bits: np.ndarray
-    pool: Pool
-    offsets: np.ndarray
-    offset_history: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class BatchDecodeResult:
     info_bits: np.ndarray            # (pools, length, k)
     offsets: np.ndarray              # (pools, n)
-    pools: np.ndarray | None = None  # (pools, n, length) when collected
-    offset_history: np.ndarray | None = None
+    offset_history: np.ndarray | None = None  # (pools, length, n) when traced
 
 
 def weave_encode(info_bits, code: PolarCode) -> Pool:
@@ -98,36 +75,27 @@ def weave_encode(info_bits, code: PolarCode) -> Pool:
         raise ValueError("need at least one position")
     if info.size and not np.isin(info, (0, 1)).all():
         raise ValueError("info_bits must be binary")
-    u = np.zeros((length, code.n), dtype=np.uint8)
-    u[:, code.frozen_mask] = code.frozen_values[code.frozen_mask][None, :]
+    u = np.zeros((length, code.n), dtype=np.uint8)   # frozen positions stay 0
     u[:, code.info_set] = info
     x = polar_transform(u)            # rows are codewords
     return Pool(strands=np.ascontiguousarray(x.T))
 
 
-def _stack_received(received: Sequence[ReceivedStrand], mode: str
-                    ) -> tuple[np.ndarray, int]:
-    lengths = {r.original_length for r in received}
-    if len(lengths) != 1:
-        raise ValueError(f"strands disagree on nominal length: {sorted(lengths)}")
-    ell = lengths.pop()
-    width = ell if mode in ("push", "fixed") else 2 * ell
-    width = max(width, max(len(r) for r in received))
-    obs = np.full((len(received), width), ERASURE, dtype=np.uint8)
-    for s, r in enumerate(received):
-        obs[s, : len(r)] = r.symbols
-    return obs, ell
-
-
 def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
-                      llr_delta: float | None = None,
-                      collect_pools: bool = False,
                       trace: bool = False) -> BatchDecodeResult:
     """Decode W pools at once from stacked observation matrices.
 
     obs is (W, n, width) over {0, 1, ERASURE}; rows beyond a strand's raw
     symbols must already be erasures.  All W pools run the same position
     schedule, so the whole batch moves through the polar decoder together.
+
+    mode selects the offset rule: "push" re-reads a contradicted symbol
+    (deletions), "pull" skips past it (insertions), "fixed" never moves
+    (substitution-only channels).  Strand s contributes its symbol at
+    index p - d(s, p) under push and p + i(s, p) under pull.  The LLR model
+    is the code's design crossover; received symbols are never used to
+    re-estimate it.  With trace, offset_history records the offsets
+    entering each position.
     """
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {DECODE_MODES}")
@@ -138,7 +106,7 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     need = length if mode in ("push", "fixed") else 2 * length
     if width < need:
         raise ValueError(f"observation width {width} too small for {mode} over {length} positions")
-    delta = code.design_delta if llr_delta is None else llr_delta
+    delta = code.design_delta
     # a noiseless model has infinite-confidence symbols; the decoder's
     # robust path absorbs the resulting +-inf arithmetic
     table = np.array([np.inf, -np.inf, 0.0]) if delta == 0.0 else llr_table(delta)
@@ -146,7 +114,6 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     step = 0 if mode == "fixed" else (-1 if mode == "push" else 1)
     offsets = np.zeros((W, n), dtype=np.int64)
     info_out = np.empty((W, length, code.k), dtype=np.uint8)
-    pools_out = np.empty((W, n, length), dtype=np.uint8) if collect_pools else None
     history = np.empty((W, length, n), dtype=np.int64) if trace else None
 
     for p in range(length):
@@ -158,69 +125,7 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
         lam = table[col]
         u, x = sc_decode_batch(lam, code)
         info_out[:, p, :] = u[:, code.info_set]
-        if collect_pools:
-            pools_out[:, :, p] = x
         if step != 0:
             offsets += (x != col) & (col != ERASURE)
-    return BatchDecodeResult(info_bits=info_out, offsets=offsets,
-                             pools=pools_out, offset_history=history)
+    return BatchDecodeResult(info_bits=info_out, offsets=offsets, offset_history=history)
 
-
-def weave_decode(received: Sequence[ReceivedStrand], code: PolarCode, mode: str,
-                 llr_delta: float | None = None, trace: bool = False) -> DecodeResult:
-    """Decode one pool of received strands position by position.
-
-    mode selects the offset rule: "push" re-reads a contradicted symbol
-    (deletions), "pull" skips past it (insertions), "fixed" never moves
-    (substitution-only channels).  Strand s contributes its symbol at
-    index p - d(s, p) under push and p + i(s, p) under pull; indices past
-    the strand's raw symbols read as erasures.
-
-    The LLR model is the code's design crossover unless llr_delta
-    overrides it; received symbols are never used to re-estimate it.
-    """
-    if len(received) != code.n:
-        raise ValueError(f"expected {code.n} strands, got {len(received)}")
-    obs, ell = _stack_received(received, mode)
-    res = decode_pool_batch(obs[None, :, :], code, mode, ell,
-                            llr_delta=llr_delta, collect_pools=True, trace=trace)
-    return DecodeResult(
-        info_bits=res.info_bits[0],
-        pool=Pool(strands=res.pools[0]),
-        offsets=res.offsets[0],
-        offset_history=res.offset_history[0] if trace else None,
-    )
-
-
-def pool_failure_check(decoded_info, true_info) -> bool:
-    """True when any decoded bit differs from the truth; a pool is all or nothing."""
-    a = np.asarray(decoded_info)
-    b = np.asarray(true_info)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return bool((a != b).any())
-
-
-def weave_quaternary(info_pair, code: PolarCode, channel: ChannelSpec,
-                     rng: np.random.Generator, llr_delta: float | None = None) -> bool:
-    """Encode, transmit, and decode one quaternary pool; True means failure.
-
-    info_pair is (info_real, info_imag).  Both component pools pass through
-    the deletion channel with a single shared kept-set per strand, then
-    decode independently with push; the pool fails if either part fails.
-    """
-    if channel.kind != "deletion":
-        raise ValueError(f"quaternary weaving runs on the deletion channel, got {channel.kind!r}")
-    info_r, info_i = info_pair
-    pool_r = weave_encode(info_r, code)
-    pool_i = weave_encode(info_i, code)
-    if pool_r.length != pool_i.length:
-        raise ValueError("component info matrices disagree on length")
-    (obs_r, _), (obs_i, _) = delete_pool_coincident(
-        pool_r.strands, pool_i.strands, channel.delta, rng)
-    fail = False
-    for obs, truth in ((obs_r, info_r), (obs_i, info_i)):
-        res = decode_pool_batch(obs[None, :, :], code, "push", pool_r.length,
-                                llr_delta=llr_delta)
-        fail = fail or pool_failure_check(res.info_bits[0], truth)
-    return fail

@@ -26,15 +26,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from genoweave.channels import (ERASURE, ReceivedStrand, delete_at, delete_pool,
-                                insert_at, insert_pool, quaternary_merge,
+from genoweave.channels import (ERASURE, delete_pool, insert_pool, quaternary_merge,
                                 quaternary_split)
 from genoweave.polar import design_polar_code, equivocation_stats, make_polar_code
 from genoweave.rates import (FAMILIES, RateFamily, binom_cdf, concat_envelope,
                              entropy)
 from genoweave.sim import (ExperimentConfig, derive_seed, run_pool_experiment,
                            run_quaternary_pool_experiment)
-from genoweave.weave import decode_pool_batch, weave_decode, weave_encode
+from genoweave.weave import decode_pool_batch, weave_encode
 
 FULL_SAMPLES = 256_000
 ELL = 256
@@ -78,11 +77,9 @@ def test_1_noiseless_roundtrip(capsys, desk_code_256):
         info = rng.integers(0, 2, size=(ELL, code4.k), dtype=np.uint8)
         pool = weave_encode(info, code4)
         channel = delete_pool if i % 2 == 0 else insert_pool
-        obs, lengths = channel(pool.strands, 0.0, rng)
-        rs = [ReceivedStrand(symbols=obs[s, :lengths[s]], original_length=ELL)
-              for s in range(code4.n)]
-        out = weave_decode(rs, code4, "push" if i % 2 == 0 else "pull")
-        bad += int((out.info_bits != info).any())
+        obs, _ = channel(pool.strands, 0.0, rng)
+        out = decode_pool_batch(obs[None], code4, "push" if i % 2 == 0 else "pull", ELL)
+        bad += int((out.info_bits[0] != info).any())
 
     code = desk_code_256
     rng = np.random.default_rng(derive_seed(0, "roundtrip", 256))
@@ -96,11 +93,9 @@ def test_1_noiseless_roundtrip(capsys, desk_code_256):
     pull = decode_pool_batch(wide, code, "pull", ELL)
     bad += int((push.info_bits != infos[:50]).sum() > 0)
     bad += int((pull.info_bits != infos[50:]).sum() > 0)
-    # one pool through the single-pool entry point must agree with the batch
-    rs = [ReceivedStrand(symbols=obs[0, s], original_length=ELL)
-          for s in range(code.n)]
-    single = weave_decode(rs, code, "push")
-    tied = bool((single.info_bits == push.info_bits[0]).all())
+    # one pool decoded alone (width 1) must agree with the batch
+    single = decode_pool_batch(obs[:1], code, "push", ELL)
+    tied = bool((single.info_bits == push.info_bits[:1]).all())
 
     dt = time.time() - t0
     ok = bad == 0 and tied and dt < 60.0
@@ -243,14 +238,14 @@ def test_8_single_indel_recovery(capsys, desk_code_256):
         victim = int(rng.integers(code.n))
         pos = int(rng.integers(ELL))
         if trial % 2 == 0:
-            hit = delete_at(strands[victim], pos)
+            hit = np.delete(strands[victim], pos)
             dest = obs_push[trial // 2]
         else:
-            hit = insert_at(strands[victim], pos, int(rng.integers(2)))
+            hit = np.insert(strands[victim], pos, int(rng.integers(2)))
             dest = obs_pull[trial // 2]
         dest[:, :ELL] = strands
         dest[victim] = ERASURE
-        dest[victim, :len(hit)] = hit.symbols
+        dest[victim, :len(hit)] = hit
     push = decode_pool_batch(obs_push, code, "push", ELL)
     pull = decode_pool_batch(obs_pull, code, "pull", ELL)
     good = int((push.info_bits == truth[0::2]).all(axis=(1, 2)).sum()

@@ -1,0 +1,41 @@
+"""Public surface: every name a module exports has a caller.
+
+A name in a module's __all__ must resolve and be referenced by cli.py, by
+another genoweave module, or by a test.  When the last caller of a public
+name goes away, this test fails until the name is deleted or made private.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "genoweave"
+MODULES = ("channels", "polar", "rates", "sim", "weave")
+
+
+def _referenced(path: Path) -> set[str]:
+    """Identifiers a file uses: bare names, attribute names and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_resolve_and_have_callers(name):
+    module = importlib.import_module(f"genoweave.{name}")
+    callers = [p for p in PACKAGE.glob("*.py") if p.stem != name]
+    callers += [p for p in TESTS.glob("test_*.py") if p != Path(__file__).resolve()]
+    used = set().union(*(_referenced(p) for p in callers))
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    unused = [n for n in module.__all__ if n not in used]
+    assert not missing, f"{name}.__all__ names that do not resolve: {missing}"
+    assert not unused, f"{name}.__all__ names with no caller: {unused}"

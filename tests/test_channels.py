@@ -9,26 +9,18 @@ import pytest
 from genoweave.channels import (
     ERASURE,
     ChannelSpec,
-    ReceivedStrand,
     apply_channel_pool,
-    bsc_apply,
     bsc_pool,
-    delete_apply,
-    delete_at,
     delete_pool,
     delete_pool_coincident,
     dna_pool_from_text,
     dna_pool_to_text,
-    insert_apply,
-    insert_at,
     insert_pool,
-    llr_of,
     llr_table,
     pool_from_text,
     pool_to_text,
     quaternary_merge,
     quaternary_split,
-    symbols_to_llrs,
 )
 from genoweave.rates import binom_cdf
 
@@ -42,54 +34,59 @@ class _ForcedRng:
     """Stands in for a Generator; replays scripted random() and integers()."""
 
     def __init__(self, uniforms, ints=()):
-        self._uniforms = list(uniforms)
-        self._ints = list(ints)
+        self._uniforms = np.array(uniforms, dtype=np.float64)
+        self._ints = np.array(ints)
 
     def random(self, size):
-        assert size == len(self._uniforms)
-        return np.array(self._uniforms)
+        assert np.prod(size) == self._uniforms.size
+        return self._uniforms.reshape(size)
 
     def integers(self, low, high, size=None, dtype=int):
-        assert size == len(self._ints)
-        return np.array(self._ints, dtype=dtype)
+        assert np.prod(size) == self._ints.size
+        return self._ints.astype(dtype).reshape(size)
+
+
+def _received(obs, lengths):
+    """Raw symbols of a one-strand pool: the row up to its reported length."""
+    return obs[0, :lengths[0]].tolist()
 
 
 # ---------------------------------------------------------------------------
-# per-strand channels
+# channels on single strands, as one-strand pools
 
 
 def test_bsc_identity_at_zero():
-    s = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    out = bsc_apply(s, 0.0, np.random.default_rng(0))
-    assert (out == s).all()
+    s = np.array([[0, 1, 1, 0, 1]], dtype=np.uint8)
+    out, lengths = bsc_pool(s, 0.0, np.random.default_rng(0))
+    assert (out == s).all() and lengths.tolist() == [5]
 
 
 def test_bsc_flip_fraction_concentrates():
     rng = np.random.default_rng(10)
-    s = np.zeros(100_000, dtype=np.uint8)
-    out = bsc_apply(s, 0.5, rng)
+    s = np.zeros((1, 100_000), dtype=np.uint8)
+    out, _ = bsc_pool(s, 0.5, rng)
     sigma = math.sqrt(100_000 * 0.25)
     assert abs(int(out.sum()) - 50_000) <= 3 * sigma
 
 
 def test_bsc_rejects_delta_one():
     with pytest.raises(ValueError):
-        bsc_apply(np.zeros(4, dtype=np.uint8), 1.0, np.random.default_rng(0))
+        bsc_pool(np.zeros((1, 4), dtype=np.uint8), 1.0, np.random.default_rng(0))
 
 
 def test_delete_identity_at_zero():
-    s = np.array([1, 0, 1], dtype=np.uint8)
-    r = delete_apply(s, 0.0, np.random.default_rng(0))
-    assert (r.symbols == s).all()
-    assert len(r) == 3 and r.original_length == 3
+    s = np.array([[1, 0, 1]], dtype=np.uint8)
+    obs, lengths = delete_pool(s, 0.0, np.random.default_rng(0))
+    assert (obs == s).all()
+    assert lengths.tolist() == [3] and obs.shape == (1, 3)
 
 
 def test_delete_output_is_subsequence():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        s = rng.integers(0, 2, size=256, dtype=np.uint8)
-        r = delete_apply(s, 0.2, rng)
-        assert _is_subsequence(r.symbols.tolist(), s.tolist())
+        s = rng.integers(0, 2, size=(1, 256), dtype=np.uint8)
+        obs, lengths = delete_pool(s, 0.2, rng)
+        assert _is_subsequence(_received(obs, lengths), s[0].tolist())
 
 
 def test_delete_count_concentrates():
@@ -106,51 +103,57 @@ def test_delete_count_concentrates():
     assert abs(removed - mean) <= 3 * sigma
 
 
+def _delete_only(length, position):
+    # uniforms below delta=0.5 mark deleted symbols
+    return _ForcedRng(uniforms=[0.0 if j == position else 0.9 for j in range(length)])
+
+
 def test_delete_run_collapses():
     # a run of zeros loses one symbol: same run, one shorter
-    s = np.zeros(6, dtype=np.uint8)
-    r = delete_at(s, 3)
-    assert (r.symbols == 0).all() and len(r) == 5
-    assert (r.padded() == [0, 0, 0, 0, 0, ERASURE]).all()
+    s = np.zeros((1, 6), dtype=np.uint8)
+    obs, lengths = delete_pool(s, 0.5, _delete_only(6, 3))
+    assert _received(obs, lengths) == [0] * 5
+    assert obs[0].tolist() == [0, 0, 0, 0, 0, ERASURE]
 
 
 def test_delete_at_exact_position():
-    s = np.array([0, 1, 0, 0, 1], dtype=np.uint8)
-    assert delete_at(s, 1).symbols.tolist() == [0, 0, 0, 1]
-    assert delete_at(s, 4).symbols.tolist() == [0, 1, 0, 0]
-    with pytest.raises(ValueError):
-        delete_at(s, 5)
+    s = np.array([[0, 1, 0, 0, 1]], dtype=np.uint8)
+    obs, lengths = delete_pool(s, 0.5, _delete_only(5, 1))
+    assert _received(obs, lengths) == [0, 0, 0, 1]
+    obs, lengths = delete_pool(s, 0.5, _delete_only(5, 4))
+    assert _received(obs, lengths) == [0, 1, 0, 0]
 
 
 def test_insert_identity_at_zero():
-    s = np.array([1, 0, 1], dtype=np.uint8)
-    r = insert_apply(s, 0.0, np.random.default_rng(0))
-    assert (r.symbols == s).all()
+    s = np.array([[1, 0, 1]], dtype=np.uint8)
+    obs, lengths = insert_pool(s, 0.0, np.random.default_rng(0))
+    assert _received(obs, lengths) == [1, 0, 1]
 
 
 def test_insert_placement_is_before_the_slot():
     # forced pattern: insertions before slots 0 and 2 of 0101
     rng = _ForcedRng(uniforms=[0.0, 0.9, 0.0, 0.9], ints=[1, 0, 1, 0])
-    r = insert_apply(np.array([0, 1, 0, 1], dtype=np.uint8), 0.5, rng)
-    assert r.symbols.tolist() == [1, 0, 1, 1, 0, 1]
-    assert r.original_length == 4
+    obs, lengths = insert_pool(np.array([[0, 1, 0, 1]], dtype=np.uint8), 0.5, rng)
+    assert _received(obs, lengths) == [1, 0, 1, 1, 0, 1]
+    assert obs.shape == (1, 8)
 
 
 def test_insert_before_first_position_shifts_all():
     # one insertion before position 0: original symbol 1 shows up at index 1
-    s = np.array([1, 0, 1, 1], dtype=np.uint8)
-    r = insert_at(s, 0, 0)
-    assert r.symbols.tolist() == [0, 1, 0, 1, 1]
-    assert r.symbols[1] == s[0]
+    s = np.array([[1, 0, 1, 1]], dtype=np.uint8)
+    rng = _ForcedRng(uniforms=[0.0, 0.9, 0.9, 0.9], ints=[0, 1, 1, 1])
+    obs, lengths = insert_pool(s, 0.5, rng)
+    assert _received(obs, lengths) == [0, 1, 0, 1, 1]
+    assert obs[0, 1] == s[0, 0]
 
 
 def test_insert_input_is_subsequence():
     rng = np.random.default_rng(13)
     for _ in range(50):
-        s = rng.integers(0, 2, size=256, dtype=np.uint8)
-        r = insert_apply(s, 0.2, rng)
-        assert len(r) >= 256
-        assert _is_subsequence(s.tolist(), r.symbols.tolist())
+        s = rng.integers(0, 2, size=(1, 256), dtype=np.uint8)
+        obs, lengths = insert_pool(s, 0.2, rng)
+        assert lengths[0] >= 256
+        assert _is_subsequence(s[0].tolist(), _received(obs, lengths))
 
 
 def test_insert_count_concentrates():
@@ -198,39 +201,35 @@ def test_deletion_length_distribution_chi_square():
 
 
 def test_llr_known_value():
-    assert llr_of(0, 0.01) == pytest.approx(math.log(99.0), rel=1e-14)
+    assert llr_table(0.01)[0] == pytest.approx(math.log(99.0), rel=1e-14)
 
 
 def test_llr_sign_symmetry_and_erasure():
     for delta in (0.001, 0.01, 0.1, 0.4999):
-        assert llr_of(0, delta) == -llr_of(1, delta)
-        assert llr_of(ERASURE, delta) == 0.0
-    assert llr_of(0, 0.4999) == pytest.approx(0.0, abs=1e-3)
+        t = llr_table(delta)
+        assert t[0] == -t[1]
+        assert t[ERASURE] == 0.0
+    assert llr_table(0.4999)[0] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_llr_table_layout():
     t = llr_table(0.01)
-    assert t[0] == llr_of(0, 0.01)
-    assert t[1] == llr_of(1, 0.01)
-    assert t[2] == 0.0
+    assert t.tolist() == [math.log(0.99 / 0.01), -math.log(0.99 / 0.01), 0.0]
 
 
 def test_llr_rejects_out_of_domain():
     for bad in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):
-            llr_of(0, bad)
-    with pytest.raises(ValueError):
-        llr_of(3, 0.01)
+            llr_table(bad)
 
 
 def test_symbols_to_llrs_vectorized():
+    # the decoder maps observed symbols of any shape through the table
     sym = np.array([[0, 1], [ERASURE, 0]], dtype=np.uint8)
-    out = symbols_to_llrs(sym, 0.1)
+    out = llr_table(0.1)[sym]
     assert out.shape == (2, 2)
-    assert out[0, 0] == llr_of(0, 0.1)
+    assert out[0, 0] == llr_table(0.1)[0] == -out[0, 1]
     assert out[1, 0] == 0.0
-    with pytest.raises(ValueError):
-        symbols_to_llrs(np.array([5]), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +348,30 @@ def test_channel_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# received strands and text round trips
+# received strands (rows of a channel's observation matrix) and text round trips
 
 
 def test_received_strand_padding_and_len():
-    r = ReceivedStrand(symbols=np.array([1, 0], dtype=np.uint8), original_length=4)
-    assert len(r) == 2
-    assert r.padded().tolist() == [1, 0, ERASURE, ERASURE]
-    assert r.padded(6).tolist() == [1, 0, ERASURE, ERASURE, ERASURE, ERASURE]
+    # a strand that lost symbols is erasure-padded back to the nominal length
+    s = np.array([[1, 1, 0, 0]], dtype=np.uint8)
+    obs, lengths = delete_pool(s, 0.5, _ForcedRng(uniforms=[0.9, 0.0, 0.9, 0.0]))
+    assert lengths.tolist() == [2]
+    assert obs[0].tolist() == [1, 0, ERASURE, ERASURE]
 
 
 def test_received_strand_longer_than_nominal_keeps_all():
-    r = ReceivedStrand(symbols=np.array([1, 0, 1], dtype=np.uint8), original_length=2)
-    assert r.padded().tolist() == [1, 0, 1]
+    # insertions grow a strand past its nominal length; the row keeps them all
+    s = np.array([[1, 1]], dtype=np.uint8)
+    obs, lengths = insert_pool(s, 0.5, _ForcedRng(uniforms=[0.9, 0.0], ints=[1, 0]))
+    assert lengths.tolist() == [3]
+    assert obs[0].tolist() == [1, 0, 1, ERASURE]
 
 
 def test_received_strand_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        ReceivedStrand(symbols=np.array([0, 2], dtype=np.uint8), original_length=2)
+    rng = np.random.default_rng(0)
+    for channel in (bsc_pool, delete_pool, insert_pool):
+        with pytest.raises(ValueError):
+            channel(np.array([[0, 2]], dtype=np.uint8), 0.1, rng)
 
 
 def test_pool_text_roundtrip_with_erasures():

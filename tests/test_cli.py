@@ -108,7 +108,7 @@ def test_simulate_quaternary_kind(capsys):
                      "--errors", "quaternary", "--pools", "2",
                      "--samples", "50", "--seed", "0")
     assert code == 0
-    assert ",deletion," in out.strip().split("\n")[2]
+    assert ",quaternary," in out.strip().split("\n")[2]
 
 
 def test_simulate_code_file_must_match_n(tmp_path, capsys):
@@ -136,6 +136,19 @@ def test_rates_grid_shape(capsys):
     for line in lines[2:]:
         _, _, rate, env, _ = line.split(",")
         assert float(env) >= float(rate) - 1e-12
+
+
+def test_rates_rows_match_concat_figure(capsys):
+    grid = ("--grid-points", "3", "--dmax", "2", "--ell", "128")
+    code, rates_out = _run(capsys, "rates", "--q", "2", "--family", "implicit", *grid)
+    assert code == 0
+    code, fig_out = _run(capsys, "figures", "--which", "concat2", *grid)
+    assert code == 0
+    rows = rates_out.strip().split("\n")[2:]
+    implicit = [line.split(",", 1)[1] for line in fig_out.strip().split("\n")[2:]
+                if line.startswith("implicit,")]
+    assert len(rows) == 3 * 3
+    assert rows == implicit
 
 
 def test_figures_scalar_series(capsys):

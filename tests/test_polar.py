@@ -13,10 +13,8 @@ from genoweave.polar import (
     equivocation_stats,
     genie_posteriors,
     make_polar_code,
-    monte_carlo_construct,
     polar_transform,
     read_equivocations_csv,
-    sc_decode,
     sc_decode_batch,
     select_info_set,
     write_equivocations_csv,
@@ -30,9 +28,7 @@ def _h2(x):
 
 
 def _full_rate_code(n):
-    return make_polar_code(n, 0.01, np.zeros(n),
-                           frozen_values=np.zeros(n, dtype=np.uint8))
-
+    return make_polar_code(n, 0.01, np.zeros(n))
 
 def _llrs_for(x, llr=math.log(99.0)):
     return llr * (1.0 - 2.0 * np.asarray(x, dtype=np.float64))
@@ -89,7 +85,7 @@ def test_transform_rejects_bad_input():
 
 def test_sc_decode_all_plus_inf_gives_zero_word():
     code = _full_rate_code(8)
-    u, x = sc_decode(np.full(8, np.inf), code)
+    u, x = sc_decode_batch(np.full(8, np.inf)[None], code)
     assert not u.any() and not x.any()
 
 
@@ -99,9 +95,9 @@ def test_sc_decode_full_rate_inverts_all_codewords_n4():
         u_true = np.array(bits, dtype=np.uint8)
         x = polar_transform(u_true)
         lam = np.where(x == 0, np.inf, -np.inf)
-        u, x_hat = sc_decode(lam, code)
-        assert (u == u_true).all()
-        assert (x_hat == x).all()
+        u, x_hat = sc_decode_batch(lam[None], code)
+        assert (u[0] == u_true).all()
+        assert (x_hat[0] == x).all()
 
 
 def test_sc_decode_noiseless_exhaustive_messages_n16():
@@ -110,18 +106,16 @@ def test_sc_decode_noiseless_exhaustive_messages_n16():
     assert 0 < code.k < 16
     for bits in itertools.product((0, 1), repeat=code.k):
         u_true = np.zeros(16, dtype=np.uint8)
-        u_true[code.frozen_mask] = code.frozen_values[code.frozen_mask]
         u_true[code.info_set] = bits
         x = polar_transform(u_true)
-        u, x_hat = sc_decode(_llrs_for(x), code)
-        assert (u == u_true).all() and (x_hat == x).all()
+        u, x_hat = sc_decode_batch(_llrs_for(x)[None], code)
+        assert (u[0] == u_true).all() and (x_hat[0] == x).all()
 
 
 def test_sc_decode_noiseless_randomized_n4096():
     code = design_polar_code(4096, 0.01, samples=200, seed=4)
     rng = np.random.default_rng(8)
     u_true = np.zeros((16, 4096), dtype=np.uint8)
-    u_true[:, code.frozen_mask] = code.frozen_values[code.frozen_mask][None, :]
     u_true[:, code.info_set] = rng.integers(0, 2, size=(16, code.k), dtype=np.uint8)
     x = polar_transform(u_true)
     u, x_hat = sc_decode_batch(_llrs_for(x), code)
@@ -134,40 +128,43 @@ def test_sc_decode_batch_rows_are_independent():
     lam = rng.normal(scale=3.0, size=(10, 32))
     batch_u, batch_x = sc_decode_batch(lam, code)
     for i in range(10):
-        u, x = sc_decode(lam[i], code)
-        assert (u == batch_u[i]).all() and (x == batch_x[i]).all()
+        u, x = sc_decode_batch(lam[i][None], code)
+        assert (u[0] == batch_u[i]).all() and (x[0] == batch_x[i]).all()
 
 
 def test_sc_decode_zero_llr_breaks_toward_zero():
     code = _full_rate_code(4)
-    u, x = sc_decode(np.zeros(4), code)
+    u, x = sc_decode_batch(np.zeros((1, 4)), code)
     assert not u.any() and not x.any()
 
 
 def test_sc_decode_contradictory_certainty_does_not_crash():
     # +inf boxplus -inf and inf - inf both appear; decoder must stay finite
     code = _full_rate_code(4)
-    u, x = sc_decode(np.array([np.inf, -np.inf, -np.inf, np.inf]), code)
+    u, x = sc_decode_batch(np.array([[np.inf, -np.inf, -np.inf, np.inf]]), code)
     assert set(np.unique(u)) <= {0, 1}
 
 
 def test_sc_decode_rejects_nan_and_bad_shape():
     code = _full_rate_code(4)
     with pytest.raises(ValueError):
-        sc_decode(np.array([0.0, np.nan, 1.0, 2.0]), code)
+        sc_decode_batch(np.array([[0.0, np.nan, 1.0, 2.0]]), code)
     with pytest.raises(ValueError):
-        sc_decode(np.zeros(8), code)
+        sc_decode_batch(np.zeros((1, 8)), code)
+    with pytest.raises(ValueError):
+        sc_decode_batch(np.zeros(4), code)
 
 
 def test_sc_decode_respects_frozen_values():
+    # frozen positions carry the constant 0 whatever the LLRs say
     rng = np.random.default_rng(9)
-    frozen = rng.integers(0, 2, size=16, dtype=np.uint8)
     eq = rng.random(16)
     info = np.flatnonzero(eq < 0.5)
-    code = make_polar_code(16, 0.1, eq, threshold=0.5, frozen_values=frozen)
+    code = make_polar_code(16, 0.1, eq, threshold=0.5)
     assert (code.info_set == info).all()
-    u, _ = sc_decode(rng.normal(size=16), code)
-    assert (u[code.frozen_mask] == frozen[code.frozen_mask]).all()
+    assert (code.frozen_mask == ~np.isin(np.arange(16), info)).all()
+    u, _ = sc_decode_batch(rng.normal(size=(8, 16)), code)
+    assert not u[:, code.frozen_mask].any()
 
 
 def test_sc_decode_block_errors_bounded_bsc():
@@ -177,7 +174,6 @@ def test_sc_decode_block_errors_bounded_bsc():
     rng = np.random.default_rng(77)
     B = 1000
     u = np.zeros((B, 256), dtype=np.uint8)
-    u[:, code.frozen_mask] = code.frozen_values[code.frozen_mask][None, :]
     info = rng.integers(0, 2, size=(B, code.k), dtype=np.uint8)
     u[:, code.info_set] = info
     x = polar_transform(u)
@@ -274,10 +270,10 @@ def test_equivocation_batch_size_cannot_change_results():
 
 
 def test_equivocation_deterministic_across_runs():
-    a = monte_carlo_construct(64, 0.02, samples=150, seed=12)
-    b = monte_carlo_construct(64, 0.02, samples=150, seed=12)
+    a = equivocation_stats(64, 0.02, samples=150, seed=12).equivocations
+    b = equivocation_stats(64, 0.02, samples=150, seed=12).equivocations
     assert (a == b).all()
-    c = monte_carlo_construct(64, 0.02, samples=150, seed=13)
+    c = equivocation_stats(64, 0.02, samples=150, seed=13).equivocations
     assert (a != c).any()
 
 
@@ -285,13 +281,13 @@ def test_equivocation_polarizes_with_block_length():
     # longer codes push more channels toward 0 or 1
     frac = {}
     for n in (64, 1024):
-        eq = monte_carlo_construct(n, 0.05, samples=400, seed=7)
+        eq = equivocation_stats(n, 0.05, samples=400, seed=7).equivocations
         frac[n] = float(((eq > 0.01) & (eq < 0.99)).mean())
     assert frac[1024] < frac[64]
 
 
 def test_equivocation_values_in_unit_interval():
-    eq = monte_carlo_construct(128, 0.1, samples=200, seed=21)
+    eq = equivocation_stats(128, 0.1, samples=200, seed=21).equivocations
     assert eq.min() >= 0.0 and eq.max() <= 1.0
 
 
@@ -337,7 +333,11 @@ def test_polar_code_validation():
         make_polar_code(8, 0.01, np.full(8, 1.5))
     with pytest.raises(ValueError):
         PolarCode(n=8, design_delta=0.01, equivocations=np.zeros(8),
-                  info_set=np.array([3, 1]), frozen_values=np.zeros(8, dtype=np.uint8))
+                  info_set=np.array([3, 1]))
+    # the frozen mask is derived from the info set, never passed in
+    with pytest.raises(TypeError):
+        PolarCode(n=8, design_delta=0.01, equivocations=np.zeros(8),
+                  info_set=np.array([1, 3]), frozen_mask=np.zeros(8, dtype=bool))
 
 
 def test_polar_code_arrays_are_read_only():
@@ -345,7 +345,9 @@ def test_polar_code_arrays_are_read_only():
     with pytest.raises(ValueError):
         code.equivocations[0] = 0.5
     with pytest.raises(ValueError):
-        code.frozen_values[0] = 1
+        code.info_set[0] = 1
+    with pytest.raises(ValueError):
+        code.frozen_mask[0] = True
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ def test_polar_code_arrays_are_read_only():
 
 
 def test_equivocations_csv_roundtrip():
-    eq = monte_carlo_construct(16, 0.05, samples=50, seed=14)
+    eq = equivocation_stats(16, 0.05, samples=50, seed=14).equivocations
     buf = io.StringIO()
     write_equivocations_csv(buf, eq, meta={"n": 16, "delta": 0.05})
     back = read_equivocations_csv(io.StringIO(buf.getvalue()))

@@ -137,9 +137,7 @@ def test_replay_reproduces_recorded_failures():
 
 
 def test_pool_experiment_accepts_prebuilt_codes():
-    code = make_polar_code(32, 0.0, np.zeros(32),
-                           frozen_values=np.zeros(32, dtype=np.uint8),
-                           threshold=0.5)
+    code = make_polar_code(32, 0.0, np.zeros(32), threshold=0.5)
     rows = run_pool_experiment(
         ExperimentConfig(n=32, delta_list=(0.0,), error_kind="deletion",
                          pools=3, construction_samples=50, master_seed=4),
@@ -159,6 +157,24 @@ def test_quaternary_experiment_zero_noise_and_determinism():
     b = run_quaternary_pool_experiment(cfg2)
     assert a[0].failure_count == b[0].failure_count
     assert a[0].failed_pools == b[0].failed_pools
+
+
+def test_replay_reproduces_quaternary_failures():
+    # quaternary rows say so, and replaying one rebuilds both components
+    cfg = ExperimentConfig(n=64, delta_list=(0.02,), error_kind="deletion",
+                           pools=20, construction_samples=200, master_seed=6)
+    (row,) = run_quaternary_pool_experiment(cfg)
+    assert row.error_kind == "quaternary"
+    assert row.failure_count > 0, "fixture config should produce failures"
+    from genoweave.sim import _construct
+    code = _construct(cfg, row.delta)
+    for b in row.failed_pools:
+        truth, decoded = replay_pool(code, row.error_kind, row.delta, row.cell_seed, b)
+        assert truth.shape == (2, STRAND_LENGTH, code.k)
+        assert (truth != decoded).any()
+    good = next(i for i in range(row.pools_run) if i not in row.failed_pools)
+    truth, decoded = replay_pool(code, row.error_kind, row.delta, row.cell_seed, good)
+    assert (truth == decoded).all()
 
 
 def test_quaternary_experiment_rejects_other_kinds():

@@ -5,37 +5,34 @@ import itertools
 import numpy as np
 import pytest
 
-from genoweave.channels import (
-    ChannelSpec,
-    ReceivedStrand,
-    bsc_pool,
-    delete_at,
-    insert_at,
-)
+from genoweave.channels import ERASURE, bsc_pool, delete_pool, delete_pool_coincident
 from genoweave.polar import design_polar_code, make_polar_code, polar_transform
-from genoweave.weave import (
-    Pool,
-    decode_pool_batch,
-    pool_failure_check,
-    weave_decode,
-    weave_encode,
-    weave_quaternary,
-)
+from genoweave.weave import Pool, decode_pool_batch, weave_encode
 
 
 def _full_rate_code(n):
-    return make_polar_code(n, 0.01, np.zeros(n),
-                           frozen_values=np.zeros(n, dtype=np.uint8))
+    return make_polar_code(n, 0.01, np.zeros(n))
 
 
 def _random_info(rng, length, code):
     return rng.integers(0, 2, size=(length, code.k), dtype=np.uint8)
 
 
-def _clean_strands(pool, ell=None):
-    ell = pool.length if ell is None else ell
-    return [ReceivedStrand(symbols=row.copy(), original_length=ell)
-            for row in pool.strands]
+def _received(rows, mode, ell):
+    """One pool's observation matrix: raw strands, erasure-padded to the decoder width."""
+    width = 2 * ell if mode == "pull" else ell
+    obs = np.full((len(rows), max(width, *map(len, rows))), ERASURE, dtype=np.uint8)
+    for s, row in enumerate(rows):
+        obs[s, :len(row)] = row
+    return obs
+
+
+def _decode(rows, code, mode, ell=None, trace=False):
+    """Decode one pool of raw strands; returns (info_bits, offsets, offset_history)."""
+    ell = len(rows[0]) if ell is None else ell
+    res = decode_pool_batch(_received(rows, mode, ell)[None], code, mode, ell, trace=trace)
+    history = res.offset_history[0] if trace else None
+    return res.info_bits[0], res.offsets[0], history
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +59,9 @@ def test_encode_frozen_constraints_hold_per_column():
     rng = np.random.default_rng(2)
     info = _random_info(rng, 20, code)
     pool = weave_encode(info, code)
-    # invert each column; frozen positions must carry frozen values
+    # invert each column; frozen positions must carry 0
     u = polar_transform(pool.strands.T)
-    assert (u[:, code.frozen_mask] == code.frozen_values[code.frozen_mask]).all()
+    assert not u[:, code.frozen_mask].any()
     assert (u[:, code.info_set] == info).all()
 
 
@@ -84,10 +81,9 @@ def test_roundtrip_noiseless_exhaustive_n4():
         info = np.array(bits, dtype=np.uint8).reshape(2, 4)
         pool = weave_encode(info, code)
         for mode in ("push", "pull", "fixed"):
-            res = weave_decode(_clean_strands(pool), code, mode=mode)
-            assert (res.info_bits == info).all()
-            assert not res.offsets.any()
-            assert (res.pool.strands == pool.strands).all()
+            info_bits, offsets, _ = _decode(pool.strands, code, mode)
+            assert (info_bits == info).all()
+            assert not offsets.any()
 
 
 def test_roundtrip_noiseless_randomized_n256():
@@ -96,18 +92,9 @@ def test_roundtrip_noiseless_randomized_n256():
     info = _random_info(rng, 64, code)
     pool = weave_encode(info, code)
     for mode in ("push", "pull"):
-        res = weave_decode(_clean_strands(pool), code, mode=mode)
-        assert (res.info_bits == info).all()
-        assert not res.offsets.any()
-
-
-def test_decode_llr_delta_defaults_to_design():
-    code = design_polar_code(32, 0.03, samples=200, seed=5)
-    rng = np.random.default_rng(6)
-    pool = weave_encode(_random_info(rng, 16, code), code)
-    a = weave_decode(_clean_strands(pool), code, mode="push")
-    b = weave_decode(_clean_strands(pool), code, mode="push", llr_delta=0.03)
-    assert (a.info_bits == b.info_bits).all()
+        info_bits, offsets, _ = _decode(pool.strands, code, mode)
+        assert (info_bits == info).all()
+        assert not offsets.any()
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +119,16 @@ def test_push_single_deletion_trace_matches_prediction():
     p_star = _first_mismatch_after_deletion(pool.strands[victim].tolist(), q)
     assert p_star is not None, "degenerate plant; pick another seed"
 
-    received = _clean_strands(pool)
-    received[victim] = delete_at(pool.strands[victim], q)
-    res = weave_decode(received, code, mode="push", trace=True)
+    received = list(pool.strands)
+    received[victim] = np.delete(pool.strands[victim], q)
+    info_bits, offsets, history = _decode(received, code, "push", ell, trace=True)
 
-    assert (res.info_bits == info).all()
+    assert (info_bits == info).all()
     # only the victim accumulated an offset, exactly one
-    assert res.offsets[victim] == 1
-    assert res.offsets.sum() == 1
+    assert offsets[victim] == 1
+    assert offsets.sum() == 1
     # history holds offsets entering each position: the bump lands after p*
-    hist = res.offset_history[:, victim]
+    hist = history[:, victim]
     assert (hist[: p_star + 1] == 0).all()
     assert (hist[p_star + 1:] == 1).all()
     # the contradicting observation is consumed again one position later
@@ -154,11 +141,11 @@ def test_push_deletion_in_constant_run_is_invisible():
     code = design_polar_code(64, 0.01, samples=300, seed=9)
     info = np.zeros((32, code.k), dtype=np.uint8)
     pool = weave_encode(info, code)          # all-zero strands
-    received = _clean_strands(pool)
-    received[5] = delete_at(pool.strands[5], 10)
-    res = weave_decode(received, code, mode="push", trace=True)
-    assert (res.info_bits == info).all()
-    assert not res.offsets.any()
+    received = list(pool.strands)
+    received[5] = np.delete(pool.strands[5], 10)
+    info_bits, offsets, _ = _decode(received, code, "push", 32, trace=True)
+    assert (info_bits == info).all()
+    assert not offsets.any()
 
 
 def test_push_recovers_every_deletion_position():
@@ -169,10 +156,10 @@ def test_push_recovers_every_deletion_position():
     pool = weave_encode(info, code)
     for q in range(0, ell, 5):
         victim = int(rng.integers(0, 128))
-        received = _clean_strands(pool)
-        received[victim] = delete_at(pool.strands[victim], q)
-        res = weave_decode(received, code, mode="push")
-        assert (res.info_bits == info).all(), (victim, q)
+        received = list(pool.strands)
+        received[victim] = np.delete(pool.strands[victim], q)
+        info_bits, _, _ = _decode(received, code, "push", ell)
+        assert (info_bits == info).all(), (victim, q)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +174,14 @@ def test_pull_single_insertion_trace_matches_prediction():
     pool = weave_encode(info, code)
     x = pool.strands[victim]
     bad = int(1 - x[q])                       # inserted bit contradicts immediately
-    received = _clean_strands(pool)
-    received[victim] = insert_at(x, q, bad)
-    res = weave_decode(received, code, mode="pull", trace=True)
+    received = list(pool.strands)
+    received[victim] = np.insert(x, q, bad)
+    info_bits, offsets, history = _decode(received, code, "pull", ell, trace=True)
 
-    assert (res.info_bits == info).all()
-    assert res.offsets[victim] == 1
-    assert res.offsets.sum() == 1
-    hist = res.offset_history[:, victim]
+    assert (info_bits == info).all()
+    assert offsets[victim] == 1
+    assert offsets.sum() == 1
+    hist = history[:, victim]
     assert (hist[: q + 1] == 0).all()
     assert (hist[q + 1:] == 1).all()
     # pull skips the bad observation instead of re-reading it
@@ -210,11 +197,11 @@ def test_pull_recovers_every_insertion_position():
     pool = weave_encode(info, code)
     for q in range(0, ell + 1, 5):
         victim = int(rng.integers(0, 128))
-        received = _clean_strands(pool)
-        received[victim] = insert_at(pool.strands[victim], q,
+        received = list(pool.strands)
+        received[victim] = np.insert(pool.strands[victim], q,
                                      int(rng.integers(0, 2)))
-        res = weave_decode(received, code, mode="pull")
-        assert (res.info_bits == info).all(), (victim, q)
+        info_bits, _, _ = _decode(received, code, "pull", ell)
+        assert (info_bits == info).all(), (victim, q)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +214,9 @@ def test_fixed_mode_decodes_light_substitution_noise():
     info = _random_info(rng, 32, code)
     pool = weave_encode(info, code)
     noisy, _ = bsc_pool(pool.strands, 0.01, rng)
-    received = [ReceivedStrand(symbols=row.copy(), original_length=pool.length)
-                for row in noisy]
-    res = weave_decode(received, code, mode="fixed", trace=True)
-    assert (res.info_bits == info).all()
-    assert not res.offsets.any()              # fixed mode never moves
+    info_bits, offsets, _ = _decode(noisy, code, "fixed", trace=True)
+    assert (info_bits == info).all()
+    assert not offsets.any()                  # fixed mode never moves
 
 
 def test_offsets_nondecreasing_and_bounded():
@@ -239,39 +224,16 @@ def test_offsets_nondecreasing_and_bounded():
     rng = np.random.default_rng(16)
     info = _random_info(rng, 48, code)
     pool = weave_encode(info, code)
-    from genoweave.channels import delete_pool
-    obs, lengths = delete_pool(pool.strands, 0.05, rng)
-    received = [ReceivedStrand(symbols=row[:ln].copy(), original_length=48)
-                for row, ln in zip(obs, lengths)]
-    res = weave_decode(received, code, mode="push", trace=True)
-    hist = res.offset_history
+    obs, _ = delete_pool(pool.strands, 0.05, rng)
+    res = decode_pool_batch(obs[None], code, "push", 48, trace=True)
+    hist = res.offset_history[0]
     diffs = np.diff(hist, axis=0)
     assert diffs.min() >= 0 and diffs.max() <= 1
     assert (hist <= np.arange(48)[:, None]).all()
 
 
 # ---------------------------------------------------------------------------
-# failure check and batch front end
-
-
-def test_pool_failure_check_truth_table():
-    a = np.zeros((4, 3), dtype=np.uint8)
-    assert pool_failure_check(a, a) is False
-    b = a.copy()
-    b[2, 1] = 1
-    assert pool_failure_check(b, a) is True
-    with pytest.raises(ValueError):
-        pool_failure_check(a, np.zeros((4, 2), dtype=np.uint8))
-
-
-def test_pool_failure_check_differential():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        a = rng.integers(0, 2, size=(8, 5), dtype=np.uint8)
-        b = a.copy()
-        if rng.random() < 0.5:
-            b[rng.integers(8), rng.integers(5)] ^= 1
-        assert pool_failure_check(b, a) is bool((a != b).any())
+# batch front end
 
 
 def test_decode_pool_batch_matches_single_decodes():
@@ -283,12 +245,11 @@ def test_decode_pool_batch_matches_single_decodes():
         info = _random_info(rng, ell, code)
         infos.append(info)
         pools.append(weave_encode(info, code))
-    obs = np.stack([np.stack([r.padded(ell) for r in _clean_strands(p)])
-                    for p in pools])
+    obs = np.stack([p.strands for p in pools])
     res = decode_pool_batch(obs, code, "push", ell)
     for w in range(W):
-        single = weave_decode(_clean_strands(pools[w]), code, mode="push")
-        assert (res.info_bits[w] == single.info_bits).all()
+        single, _, _ = _decode(pools[w].strands, code, "push")
+        assert (res.info_bits[w] == single).all()
         assert (res.info_bits[w] == infos[w]).all()
 
 
@@ -303,17 +264,6 @@ def test_decode_pool_batch_validates_width_and_mode():
         decode_pool_batch(np.zeros((1, 8, 8), dtype=np.uint8), code, "push", 8)
 
 
-def test_weave_decode_validates_strands():
-    code = _full_rate_code(4)
-    pool = weave_encode(np.zeros((4, 4), dtype=np.uint8), code)
-    with pytest.raises(ValueError):
-        weave_decode(_clean_strands(pool)[:3], code, mode="push")
-    mixed = _clean_strands(pool)
-    mixed[1] = ReceivedStrand(symbols=mixed[1].symbols, original_length=5)
-    with pytest.raises(ValueError):
-        weave_decode(mixed, code, mode="push")
-
-
 def test_pool_validation():
     with pytest.raises(ValueError):
         Pool(strands=np.array([[0, 2]], dtype=np.uint8))
@@ -325,13 +275,19 @@ def test_pool_validation():
 # quaternary path
 
 
+def _decode_quaternary(code, info_pair, delta, rng):
+    """Both component pools through one shared deletion pattern, decoded as a batch of two."""
+    pool_r, pool_i = (weave_encode(info, code) for info in info_pair)
+    (obs_r, _), (obs_i, _) = delete_pool_coincident(pool_r.strands, pool_i.strands, delta, rng)
+    res = decode_pool_batch(np.stack([obs_r, obs_i]), code, "push", pool_r.length)
+    return bool((res.info_bits != np.stack(info_pair)).any())
+
+
 def test_weave_quaternary_noiseless_never_fails():
     code = design_polar_code(64, 0.01, samples=300, seed=20)
     rng = np.random.default_rng(21)
     info_pair = (_random_info(rng, 16, code), _random_info(rng, 16, code))
-    failed = weave_quaternary(info_pair, code, ChannelSpec("deletion", 0.0),
-                              np.random.default_rng(0))
-    assert failed is False
+    assert _decode_quaternary(code, info_pair, 0.0, np.random.default_rng(0)) is False
 
 
 def test_weave_quaternary_light_noise_mostly_recovers():
@@ -340,14 +296,5 @@ def test_weave_quaternary_light_noise_mostly_recovers():
     fails = 0
     for trial in range(10):
         info_pair = (_random_info(rng, 32, code), _random_info(rng, 32, code))
-        fails += weave_quaternary(info_pair, code, ChannelSpec("deletion", 0.01),
-                                  np.random.default_rng([23, trial]))
+        fails += _decode_quaternary(code, info_pair, 0.01, np.random.default_rng([23, trial]))
     assert fails <= 2
-
-
-def test_weave_quaternary_rejects_other_channels():
-    code = _full_rate_code(4)
-    info_pair = (np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        weave_quaternary(info_pair, code, ChannelSpec("insertion", 0.01),
-                         np.random.default_rng(0))
