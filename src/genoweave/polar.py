@@ -81,14 +81,15 @@ def select_info_set(equivocations, threshold: float) -> np.ndarray:
     return np.flatnonzero(eq < threshold).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarCode:
     """A constructed polar code: block length, design channel, channel ranking.
 
     equivocations[j] is the estimated conditional entropy of bit channel j
     under the design BSC; info_set holds the indices selected as data
     carriers, and every other position (frozen_mask) carries the constant
-    0.  Instances are immutable and safe to share across threads.
+    0.  Instances are immutable and safe to share across threads.  They
+    compare and hash by identity, so a code can key a dict.
     """
 
     n: int
@@ -156,33 +157,116 @@ def design_polar_code(n: int, delta: float, samples: int = 1000, seed: int = 0,
 #   boxplus(a, b) = sign(a) sign(b) min(|a|,|b|)
 #                   + log1p(exp(-|a+b|)) - log1p(exp(-|a-b|))
 # and sign(a) sign(b) min(|a|,|b|) equals (|a+b| - |a-b|)/2, which saves a
-# few array passes on the hot path.
+# few array passes on the hot path.  The kernel evaluates every formula
+# below with the same operations in the same order, so its decisions and
+# LLRs are bit-identical to a plain recursive SC decoder's.
 
 
-def _boxplus(a, b):
-    s = np.abs(a + b)
-    d = np.abs(a - b)
-    return 0.5 * (s - d) + np.log1p(np.exp(-s)) - np.log1p(np.exp(-d))
+def _boxplus(a, b, out, sd):
+    # out = 0.5*(s - d) + log1p(exp(-s)) - log1p(exp(-d)), s = |a+b|, d = |a-b|,
+    # in place; sd is scratch of shape (2,) + out.shape that holds s and d
+    # together, so each elementwise step on both is one call
+    s, d = sd
+    np.add(a, b, out=s)
+    np.subtract(a, b, out=d)
+    np.abs(sd, out=sd)
+    np.multiply(np.subtract(s, d, out=out), 0.5, out=out)
+    np.log1p(np.exp(np.negative(sd, out=sd), out=sd), out=sd)
+    np.add(out, s, out=out)
+    np.subtract(out, d, out=out)
 
 
-def _boxplus_robust(a, b):
+def _gfun(a, b, x, out, sd):
+    # out = b - a where x is 1, b + a elsewhere; x None means all 0.  Flipping
+    # a's sign bit is an exact negation and b + (-a) is b - a in IEEE
+    # arithmetic, which avoids np.where's two full candidate arrays.
+    if x is None:
+        np.add(b, a, out=out)
+        return
+    s = sd[0]
+    bits = s.view(np.uint64)
+    np.left_shift(x, 63, out=bits, dtype=np.uint64)
+    np.bitwise_xor(a.view(np.uint64), bits, out=bits)
+    np.add(b, s, out=out)
+
+
+def _boxplus_robust(a, b, out, sd):
     # +-inf sentinels make a+b ill-defined; fall back to the explicit form
     # and zero out the correction wherever it degenerates.
     m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     with np.errstate(invalid="ignore"):
         corr = np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    return m + np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
+    out[...] = m + np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _gfun(a, b, x):
-    return np.where(x.astype(bool), b - a, b + a)
-
-
-def _gfun_robust(a, b, x):
+def _gfun_robust(a, b, x, out, sd):
     with np.errstate(invalid="ignore"):
-        r = np.where(x.astype(bool), b - a, b + a)
+        r = b + a if x is None else np.where(x.astype(bool), b - a, b + a)
     # inf - inf marks contradictory certainty; treat it as no information
-    return np.nan_to_num(r, nan=0.0, posinf=np.inf, neginf=-np.inf)
+    out[...] = np.nan_to_num(r, nan=0.0, posinf=np.inf, neginf=-np.inf)
+
+
+class _SCRun:
+    """Buffers and schedule of one batched SC run; _sc_node walks the tree.
+
+    Arrays are position-major, (positions, B): the two halves of a node's
+    LLRs and a leaf's B decisions are then contiguous blocks.  lev[l] holds
+    the LLRs of the node being visited at depth l and sd[l] the f/g scratch
+    for its children.  ones[j] counts the positions before j whose decision
+    can be 1 (info positions when decoding, true 1 bits in the genie path),
+    so ones[j0 + h] == ones[j0] marks a subtree whose u and x are all 0.
+    leaf, when not None, receives every leaf LLR (the genie path, whose
+    decisions are already in u and x).
+    """
+
+    __slots__ = ("n", "lev", "sd", "u", "ub", "x", "ones", "leaf", "f", "g")
+
+    def __init__(self, lam, u, x, ones, leaf, finite):
+        n, B = lam.shape
+        m = n.bit_length() - 1
+        self.n = n
+        self.lev = [lam] + [np.empty((n >> l, B)) for l in range(1, m + 1)]
+        sd = np.empty(n * B)
+        self.sd = [sd[:n * B >> l].reshape(2, n >> l + 1, B) for l in range(m)]
+        self.u, self.ub, self.x = u, u.view(np.bool_), x
+        self.ones, self.leaf = ones, leaf
+        self.f, self.g = (_boxplus, _gfun) if finite else (_boxplus_robust, _gfun_robust)
+
+
+def _sc_node(r: _SCRun, l: int, j0: int) -> None:
+    # Visit the depth-l node (size h >= 2) whose first leaf is j0 and whose
+    # LLRs are in r.lev[l]; writes u and x of the subtree in place.  When
+    # decoding, a subtree with no info position (rate 0) is skipped: its u
+    # and x stay 0 and its LLRs are never needed.
+    half = r.n >> l + 1
+    jm, j1 = j0 + half, j0 + 2 * half
+    left = r.ones[jm] != r.ones[j0]
+    right = r.ones[j1] != r.ones[jm]
+    genie = r.leaf is not None
+    a, b = r.lev[l][:half], r.lev[l][half:]
+    if half == 1 and genie:
+        out_left, out_right = r.leaf[j0:jm], r.leaf[jm:j1]
+    else:
+        out_left = out_right = r.lev[l + 1]
+    x = r.x
+    if left or genie:
+        r.f(a, b, out_left, r.sd[l])
+        if half > 1:
+            _sc_node(r, l + 1, j0)
+        elif not genie:
+            np.less(out_left, 0.0, out=r.ub[j0:jm])
+            x[j0] = r.u[j0]
+    if right or genie:
+        r.g(a, b, x[j0:jm] if left else None, out_right, r.sd[l])
+        if half > 1:
+            _sc_node(r, l + 1, jm)
+        elif not genie:
+            np.less(out_right, 0.0, out=r.ub[jm:j1])
+            x[jm] = r.u[jm]
+        if left and right:
+            np.bitwise_xor(x[j0:jm], x[jm:j1], out=x[j0:jm])
+        elif right:
+            x[j0:jm] = x[jm:j1]
 
 
 def _sc_batch(llrs: np.ndarray,
@@ -192,49 +276,37 @@ def _sc_batch(llrs: np.ndarray,
     """Run B successive-cancellation decoders in lock step.
 
     llrs is (B, n).  When forced is given, leaf decisions are overridden by
-    it (the genie path); otherwise frozen positions decode to 0 and data
+    it (the genie path) and leaf_llrs (B, n) receives the decision-point
+    LLR of every leaf; otherwise frozen positions decode to 0 and data
     positions take the sign decision, with LLR == 0 decoding to 0.
-    leaf_llrs, when provided, receives the decision-point LLR of every leaf.
     Returns (u_hat, x_hat), both (B, n) uint8.
     """
     B, n = llrs.shape
-    if np.isnan(llrs).any():
+    lam = np.ascontiguousarray(llrs.T, dtype=np.float64)
+    finite = bool(np.isfinite(lam).all())
+    if not finite and np.isnan(lam).any():
         raise ValueError("LLRs must be finite or +-inf, got NaN")
-    if np.isinf(llrs).any():
-        f, g = _boxplus_robust, _gfun_robust
+    if forced is None:
+        can_be_one = ~frozen_mask
+        u = np.zeros((n, B), dtype=np.uint8)
+        leaf = None
     else:
-        f, g = _boxplus, _gfun
-
-    def leaf(lam: np.ndarray, j: int) -> np.ndarray:
-        if leaf_llrs is not None:
-            leaf_llrs[:, j] = lam
-        if forced is not None:
-            return forced[:, j]
-        if frozen_mask[j]:
-            return np.zeros(B, dtype=np.uint8)
-        return (lam < 0).astype(np.uint8)
-
-    def node(lam: np.ndarray, j0: int) -> tuple[np.ndarray, np.ndarray]:
-        h = lam.shape[1]
-        if h == 1:
-            u = leaf(lam[:, 0], j0)[:, None]
-            return u, u
-        half = h >> 1
-        a = lam[:, :half]
-        b = lam[:, half:]
-        if h == 2:
-            a0 = a[:, 0]
-            b0 = b[:, 0]
-            u0 = leaf(f(a0, b0), j0)
-            u1 = leaf(g(a0, b0, u0), j0 + 1)
-            return np.stack((u0, u1), axis=1), np.stack((u0 ^ u1, u1), axis=1)
-        ul, xl = node(f(a, b), j0)
-        ur, xr = node(g(a, b, xl), j0 + half)
-        return (np.concatenate((ul, ur), axis=1),
-                np.concatenate((xl ^ xr, xr), axis=1))
-
-    lam0 = np.ascontiguousarray(llrs, dtype=np.float64)
-    return node(lam0, 0)
+        u = np.ascontiguousarray(forced.T, dtype=np.uint8)
+        can_be_one = u.any(axis=1)
+        leaf = np.empty((n, B), dtype=np.float64)
+    x = u.copy()
+    ones = np.concatenate(([0], np.cumsum(can_be_one))).tolist()
+    if n == 1:  # the root is a leaf
+        if leaf is not None:
+            leaf[...] = lam
+        elif ones[-1]:
+            np.less(lam, 0.0, out=u.view(np.bool_))
+            x[...] = u
+    elif leaf is not None or ones[-1]:
+        _sc_node(_SCRun(lam, u, x, ones, leaf, finite), 0, 0)
+    if leaf is not None:
+        leaf_llrs[...] = leaf.T
+    return u.T, x.T
 
 
 def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
@@ -277,13 +349,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
 
-def _h2_of_llr(llr: np.ndarray) -> np.ndarray:
+def _h2_of_llr(llr: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     # Binary entropy of sigmoid(llr), evaluated directly from the LLR so the
     # deeply polarized tail keeps precision far below the 1e-16 that a
-    # probability round-trip would allow.
-    t = np.abs(llr)
-    et = np.exp(-t)
-    return (np.log1p(et) + t * et / (1.0 + et)) / _LN2
+    # probability round-trip would allow:
+    #   (log1p(et) + t * et / (1 + et)) / ln 2,  t = |llr|, et = exp(-t).
+    # Overwrites llr with the result and scratch (same shape) with log1p(et).
+    t = np.abs(llr, out=llr)
+    et = np.exp(np.negative(t, out=scratch), out=scratch)
+    np.multiply(t, et, out=t)
+    np.divide(t, 1.0 + et, out=t)
+    np.add(np.log1p(et, out=et), t, out=t)
+    return np.divide(t, _LN2, out=t)
 
 
 def genie_posteriors(llrs, true_u) -> PosteriorSample:
@@ -364,7 +441,7 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
         flips = noise[:c] < delta
         lam = llr0 * (1.0 - 2.0 * flips)
         _sc_batch(lam, None, forced=forced[:c], leaf_llrs=leaf[:c])
-        h = _h2_of_llr(leaf[:c])
+        h = _h2_of_llr(leaf[:c], noise[:c])
         # accumulate sample by sample so the result cannot depend on chunking
         for i in range(c):
             eq_sum += h[i]

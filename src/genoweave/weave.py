@@ -99,9 +99,13 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     """
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {DECODE_MODES}")
-    obs = np.asarray(obs, dtype=np.uint8)
+    obs = np.asarray(obs)
     if obs.ndim != 3 or obs.shape[1] != code.n:
         raise ValueError(f"expected obs shape (W, {code.n}, width), got {obs.shape}")
+    if obs.size and (obs.min() < 0 or obs.max() > ERASURE):
+        bad = obs[(obs < 0) | (obs > ERASURE)][0]
+        raise ValueError(f"observation symbols must be 0, 1 or ERASURE ({ERASURE}), got {bad}")
+    obs = np.ascontiguousarray(obs, dtype=np.uint8)
     W, n, width = obs.shape
     need = length if mode in ("push", "fixed") else 2 * length
     if width < need:
@@ -116,12 +120,18 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     info_out = np.empty((W, length, code.k), dtype=np.uint8)
     history = np.empty((W, length, n), dtype=np.int64) if trace else None
 
+    # strand (w, s) starts at flat index (w n + s) width of the contiguous obs
+    flat = obs.reshape(-1)
+    row_base = np.arange(W * n, dtype=np.int64).reshape(W, n) * width
+
     for p in range(length):
         if trace:
             history[:, p, :] = offsets
         idx = p + step * offsets
-        assert idx.min() >= 0 and idx.max() < width
-        col = np.take_along_axis(obs, idx[:, :, None], axis=2)[:, :, 0]
+        # a flat gather would silently read a neighbouring strand
+        if idx.min() < 0 or idx.max() >= width:
+            raise RuntimeError(f"strand offset left the observation window at position {p}")
+        col = flat[row_base + idx]
         lam = table[col]
         u, x = sc_decode_batch(lam, code)
         info_out[:, p, :] = u[:, code.info_set]

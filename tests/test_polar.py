@@ -340,6 +340,14 @@ def test_polar_code_validation():
                   info_set=np.array([1, 3]), frozen_mask=np.zeros(8, dtype=bool))
 
 
+def test_polar_code_compares_and_hashes_by_identity():
+    a = make_polar_code(4, 0.1, np.zeros(4))
+    b = make_polar_code(4, 0.1, np.zeros(4))
+    assert a == a
+    assert a != b
+    assert {a: 1}[a] == 1
+
+
 def test_polar_code_arrays_are_read_only():
     code = _full_rate_code(8)
     with pytest.raises(ValueError):

@@ -264,6 +264,14 @@ def test_decode_pool_batch_validates_width_and_mode():
         decode_pool_batch(np.zeros((1, 8, 8), dtype=np.uint8), code, "push", 8)
 
 
+def test_decode_pool_batch_rejects_unknown_symbols():
+    code = _full_rate_code(4)
+    with pytest.raises(ValueError, match="got 3"):
+        decode_pool_batch(np.full((1, 4, 4), 3, np.uint8), code, "fixed", 4)
+    with pytest.raises(ValueError, match="got -1"):
+        decode_pool_batch(np.full((1, 4, 4), -1), code, "fixed", 4)
+
+
 def test_pool_validation():
     with pytest.raises(ValueError):
         Pool(strands=np.array([[0, 2]], dtype=np.uint8))
