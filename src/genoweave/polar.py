@@ -7,14 +7,20 @@ uses exact log-domain check-node updates rather than the min-sum
 approximation; LLRs may be +-inf as certainty sentinels, an LLR of
 exactly zero decodes to 0.
 
-All decode paths are batched: a (B, n) LLR array runs B independent
-decoders in lock step, which is what makes large Monte-Carlo runs cheap.
+Decoding is batched: a (B, n) LLR array runs B independent decoders in
+lock step.  Genie-aided construction needs no decoder at all: with every
+decision forced, the partial sums are known up front, so the tree's LLRs
+are computed one level at a time with the decoder's f and g, in blocks
+of samples spread over threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO
 
 import numpy as np
@@ -57,14 +63,16 @@ def polar_transform(u) -> np.ndarray:
         raise ValueError(f"length must be a power of two, got {n}")
     if u.size and not np.isin(u, (0, 1)).all():
         raise ValueError("input must be binary")
-    x = np.ascontiguousarray(u, dtype=np.uint8).copy()
+    # butterfly on a position-major copy: each stage XORs contiguous blocks
+    # of half * rows bits instead of many tiny row slices
+    rows = u.reshape(-1, n)
+    xt = np.array(rows.T, dtype=np.uint8, order="C")
     h = n
     while h > 1:
-        half = h // 2
-        v = x.reshape(-1, h)
-        v[:, :half] ^= v[:, half:]
-        h = half
-    return x
+        v = xt.reshape(n // h, 2, h // 2 * rows.shape[0])
+        v[:, 0] ^= v[:, 1]
+        h //= 2
+    return np.ascontiguousarray(xt.T).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +165,10 @@ def design_polar_code(n: int, delta: float, samples: int = 1000, seed: int = 0,
 #   boxplus(a, b) = sign(a) sign(b) min(|a|,|b|)
 #                   + log1p(exp(-|a+b|)) - log1p(exp(-|a-b|))
 # and sign(a) sign(b) min(|a|,|b|) equals (|a+b| - |a-b|)/2, which saves a
-# few array passes on the hot path.  The kernel evaluates every formula
-# below with the same operations in the same order, so its decisions and
-# LLRs are bit-identical to a plain recursive SC decoder's.
+# few array passes on the hot path.  The kernel and the genie butterfly
+# evaluate every formula below with the same operations in the same order,
+# so their decisions and LLRs are bit-identical to a plain recursive SC
+# decoder's.
 
 
 def _boxplus(a, b, out, sd):
@@ -206,22 +215,29 @@ def _gfun_robust(a, b, x, out, sd):
     out[...] = np.nan_to_num(r, nan=0.0, posinf=np.inf, neginf=-np.inf)
 
 
+def _fg(lam):
+    # the f/g pair for these LLRs: the in-place one when all are finite, the
+    # robust one when +-inf sentinels occur
+    if np.isfinite(lam).all():
+        return _boxplus, _gfun
+    if np.isnan(lam).any():
+        raise ValueError("LLRs must be finite or +-inf, got NaN")
+    return _boxplus_robust, _gfun_robust
+
+
 class _SCRun:
     """Buffers and schedule of one batched SC run; _sc_node walks the tree.
 
     Arrays are position-major, (positions, B): the two halves of a node's
     LLRs and a leaf's B decisions are then contiguous blocks.  lev[l] holds
     the LLRs of the node being visited at depth l and sd[l] the f/g scratch
-    for its children.  ones[j] counts the positions before j whose decision
-    can be 1 (info positions when decoding, true 1 bits in the genie path),
-    so ones[j0 + h] == ones[j0] marks a subtree whose u and x are all 0.
-    leaf, when not None, receives every leaf LLR (the genie path, whose
-    decisions are already in u and x).
+    for its children.  ones[j] counts the info positions before j, so
+    ones[j0 + h] == ones[j0] marks a subtree whose u and x are all 0.
     """
 
-    __slots__ = ("n", "lev", "sd", "u", "ub", "x", "ones", "leaf", "f", "g")
+    __slots__ = ("n", "lev", "sd", "u", "ub", "x", "ones", "f", "g")
 
-    def __init__(self, lam, u, x, ones, leaf, finite):
+    def __init__(self, lam, u, x, ones, fg):
         n, B = lam.shape
         m = n.bit_length() - 1
         self.n = n
@@ -229,83 +245,61 @@ class _SCRun:
         sd = np.empty(n * B)
         self.sd = [sd[:n * B >> l].reshape(2, n >> l + 1, B) for l in range(m)]
         self.u, self.ub, self.x = u, u.view(np.bool_), x
-        self.ones, self.leaf = ones, leaf
-        self.f, self.g = (_boxplus, _gfun) if finite else (_boxplus_robust, _gfun_robust)
+        self.ones = ones
+        self.f, self.g = fg
 
 
 def _sc_node(r: _SCRun, l: int, j0: int) -> None:
     # Visit the depth-l node (size h >= 2) whose first leaf is j0 and whose
-    # LLRs are in r.lev[l]; writes u and x of the subtree in place.  When
-    # decoding, a subtree with no info position (rate 0) is skipped: its u
-    # and x stay 0 and its LLRs are never needed.
+    # LLRs are in r.lev[l]; writes u and x of the subtree in place.  A
+    # subtree with no info position (rate 0) is skipped: its u and x stay 0
+    # and its LLRs are never needed.
     half = r.n >> l + 1
     jm, j1 = j0 + half, j0 + 2 * half
     left = r.ones[jm] != r.ones[j0]
     right = r.ones[j1] != r.ones[jm]
-    genie = r.leaf is not None
     a, b = r.lev[l][:half], r.lev[l][half:]
-    if half == 1 and genie:
-        out_left, out_right = r.leaf[j0:jm], r.leaf[jm:j1]
-    else:
-        out_left = out_right = r.lev[l + 1]
+    out = r.lev[l + 1]
     x = r.x
-    if left or genie:
-        r.f(a, b, out_left, r.sd[l])
+    if left:
+        r.f(a, b, out, r.sd[l])
         if half > 1:
             _sc_node(r, l + 1, j0)
-        elif not genie:
-            np.less(out_left, 0.0, out=r.ub[j0:jm])
+        else:
+            np.less(out, 0.0, out=r.ub[j0:jm])
             x[j0] = r.u[j0]
-    if right or genie:
-        r.g(a, b, x[j0:jm] if left else None, out_right, r.sd[l])
+    if right:
+        r.g(a, b, x[j0:jm] if left else None, out, r.sd[l])
         if half > 1:
             _sc_node(r, l + 1, jm)
-        elif not genie:
-            np.less(out_right, 0.0, out=r.ub[jm:j1])
+        else:
+            np.less(out, 0.0, out=r.ub[jm:j1])
             x[jm] = r.u[jm]
-        if left and right:
+        if left:
             np.bitwise_xor(x[j0:jm], x[jm:j1], out=x[j0:jm])
-        elif right:
+        else:
             x[j0:jm] = x[jm:j1]
 
 
-def _sc_batch(llrs: np.ndarray,
-              frozen_mask: np.ndarray | None,
-              forced: np.ndarray | None = None,
-              leaf_llrs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _sc_batch(llrs: np.ndarray, frozen_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run B successive-cancellation decoders in lock step.
 
-    llrs is (B, n).  When forced is given, leaf decisions are overridden by
-    it (the genie path) and leaf_llrs (B, n) receives the decision-point
-    LLR of every leaf; otherwise frozen positions decode to 0 and data
-    positions take the sign decision, with LLR == 0 decoding to 0.
-    Returns (u_hat, x_hat), both (B, n) uint8.
+    llrs is (B, n).  Frozen positions decode to 0 and data positions take
+    the sign decision, with LLR == 0 decoding to 0.  Returns (u_hat, x_hat),
+    both (B, n) uint8.
     """
     B, n = llrs.shape
     lam = np.ascontiguousarray(llrs.T, dtype=np.float64)
-    finite = bool(np.isfinite(lam).all())
-    if not finite and np.isnan(lam).any():
-        raise ValueError("LLRs must be finite or +-inf, got NaN")
-    if forced is None:
-        can_be_one = ~frozen_mask
-        u = np.zeros((n, B), dtype=np.uint8)
-        leaf = None
-    else:
-        u = np.ascontiguousarray(forced.T, dtype=np.uint8)
-        can_be_one = u.any(axis=1)
-        leaf = np.empty((n, B), dtype=np.float64)
+    fg = _fg(lam)
+    u = np.zeros((n, B), dtype=np.uint8)
     x = u.copy()
-    ones = np.concatenate(([0], np.cumsum(can_be_one))).tolist()
+    ones = np.concatenate(([0], np.cumsum(~frozen_mask))).tolist()
     if n == 1:  # the root is a leaf
-        if leaf is not None:
-            leaf[...] = lam
-        elif ones[-1]:
+        if ones[-1]:
             np.less(lam, 0.0, out=u.view(np.bool_))
             x[...] = u
-    elif leaf is not None or ones[-1]:
-        _sc_node(_SCRun(lam, u, x, ones, leaf, finite), 0, 0)
-    if leaf is not None:
-        leaf_llrs[...] = leaf.T
+    elif ones[-1]:
+        _sc_node(_SCRun(lam, u, x, ones, fg), 0, 0)
     return u.T, x.T
 
 
@@ -340,6 +334,41 @@ class PosteriorSample:
             raise ValueError("posteriors must lie in [0, 1]")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+
+
+def _genie_leaf_llrs(lam: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """Decision-point LLRs of B genie-aided SC decoders, (n, B).
+
+    lam is the (n, B) position-major channel LLRs and is overwritten; u
+    (n, B) holds the forced bits, None meaning all 0.  With every decision
+    forced, every partial sum is known up front, so level l + 1's LLRs
+    depend on level l's alone: log2(n) passes each apply f and g to every
+    node of a level at once.  f and g are the SC kernel's, with the same
+    operations in the same order, so each leaf LLR is byte-equal to the one
+    a successive decoder holds at that leaf's decision.
+    """
+    n, B = lam.shape
+    m = n.bit_length() - 1
+    f, g = _fg(lam)
+    # xs[l]: partial sums of the left children at depth l + 1, the polar
+    # transform of u over each of their blocks, built bottom-up
+    xs = [None] * m
+    if u is not None:
+        p = u.copy()
+        for l in range(m - 1, -1, -1):
+            v = p.reshape(1 << l, 2, n >> l + 1, B)
+            xs[l] = v[:, 0].copy()
+            v[:, 0] ^= v[:, 1]
+    sd = np.empty((2, n >> 1, B))
+    cur, nxt = lam, np.empty_like(lam)
+    for l in range(m):
+        shape = (1 << l, 2, n >> l + 1, B)
+        v, w = cur.reshape(shape), nxt.reshape(shape)
+        sdl = sd.reshape((2,) + shape[:1] + shape[2:])
+        f(v[:, 0], v[:, 1], w[:, 0], sdl)
+        g(v[:, 0], v[:, 1], xs[l], w[:, 1], sdl)
+        cur, nxt = nxt, cur
+    return cur
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -378,11 +407,8 @@ def genie_posteriors(llrs, true_u) -> PosteriorSample:
     tu = np.asarray(true_u)
     if tu.shape != (n,) or (tu.size and not np.isin(tu, (0, 1)).all()):
         raise ValueError("true_u must be a length-n bit-vector")
-    leaf = np.empty((1, n), dtype=np.float64)
-    _sc_batch(llrs[None, :], None,
-              forced=np.ascontiguousarray(tu, dtype=np.uint8)[None, :],
-              leaf_llrs=leaf)
-    return PosteriorSample(rho=_sigmoid(leaf[0]))
+    leaf = _genie_leaf_llrs(llrs[:, None].copy(), tu.astype(np.uint8)[:, None])
+    return PosteriorSample(rho=_sigmoid(leaf[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -401,9 +427,34 @@ class EquivocationStats:
 
 
 def _default_batch(n: int, samples: int) -> int:
-    # ~4M floats per chunk amortises the recursion overhead without
-    # blowing up memory; results are batch-size invariant regardless.
+    # ~4M floats per chunk: all blocks of a chunk are in flight at once, so
+    # this bounds the memory their h results hold; results are batch-size
+    # invariant regardless.
     return max(1, min(samples, (1 << 22) // max(n, 1)))
+
+
+# Construction runs in blocks of about this many floats (32 samples at
+# n=4096), so that a block's buffers stay in a core's L2 cache.
+_BLOCK_FLOATS = 1 << 17
+
+
+def _workers() -> int:
+    # one thread per CPU this process may run on; NumPy's ufuncs release the
+    # GIL, so blocks overlap
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _genie_block(n: int, delta: float, seed: int, start: int, c: int) -> np.ndarray:
+    # h2 of the genie posteriors of samples start .. start + c - 1, (c, n)
+    noise = np.empty((n, c))
+    for i in range(c):
+        noise[:, i] = np.random.default_rng([seed, start + i]).random(n)
+    lam = math.log((1.0 - delta) / delta) * (1.0 - 2.0 * (noise < delta))
+    h = _h2_of_llr(_genie_leaf_llrs(lam, None), noise)
+    return np.ascontiguousarray(h.T)
 
 
 def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
@@ -412,8 +463,9 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
 
     Sends the all-zero codeword through samples independent BSC draws and
     averages h2 of the genie-aided posteriors.  Sample sigma draws its
-    noise from an RNG stream keyed by (seed, sigma), so the result is
-    bit-identical however the work is batched.
+    noise from an RNG stream keyed by (seed, sigma), and the sums run
+    sample by sample in index order, so the result is bit-identical however
+    the work is batched, blocked or spread over threads.
     """
     if not _is_pow2(n):
         raise ValueError(f"block length must be a power of two, got {n}")
@@ -421,33 +473,36 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
         raise ValueError(f"design crossover must lie in [0, 1/2], got {delta}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if delta == 0.0:
-        return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
-
-    llr0 = math.log((1.0 - delta) / delta)
     chunk = batch_size if batch_size is not None else _default_batch(n, samples)
     if chunk < 1:
         raise ValueError(f"batch size must be positive, got {chunk}")
+    if delta == 0.0:
+        return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
+
+    block = max(1, _BLOCK_FLOATS // n)
     eq_sum = np.zeros(n, dtype=np.float64)
     tot_sum = 0.0
     tot_sq = 0.0
-    forced = np.zeros((chunk, n), dtype=np.uint8)
-    leaf = np.empty((chunk, n), dtype=np.float64)
-    noise = np.empty((chunk, n), dtype=np.float64)
-    for start in range(0, samples, chunk):
-        c = min(chunk, samples - start)
-        for i in range(c):
-            noise[i] = np.random.default_rng([seed, start + i]).random(n)
-        flips = noise[:c] < delta
-        lam = llr0 * (1.0 - 2.0 * flips)
-        _sc_batch(lam, None, forced=forced[:c], leaf_llrs=leaf[:c])
-        h = _h2_of_llr(leaf[:c], noise[:c])
-        # accumulate sample by sample so the result cannot depend on chunking
-        for i in range(c):
-            eq_sum += h[i]
-            t = float(h[i].sum())
-            tot_sum += t
-            tot_sq += t * t
+    pool = contextlib.nullcontext()
+    if min(chunk, samples) > block:
+        # imported here: concurrent.futures pulls in logging, ~5 ms that
+        # every import of this module would pay otherwise
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(_workers())
+    with pool:
+        for start in range(0, samples, chunk):
+            stop = min(start + chunk, samples)
+            starts = range(start, stop, block)
+            sizes = [min(block, stop - s) for s in starts]
+            run = map if len(starts) == 1 else pool.map  # a single block runs inline
+            for h in run(partial(_genie_block, n, delta, seed), starts, sizes):
+                # accumulate sample by sample so the result cannot depend on
+                # chunks, blocks or threads
+                for row in h:
+                    eq_sum += row
+                    t = float(row.sum())
+                    tot_sum += t
+                    tot_sq += t * t
     eq = np.clip(eq_sum / samples, 0.0, 1.0)
     mean = tot_sum / samples
     var = max(0.0, tot_sq / samples - mean * mean)

@@ -66,10 +66,12 @@ def test_transform_linear_over_gf2():
 def test_transform_accepts_row_matrices():
     rng = np.random.default_rng(2)
     u = rng.integers(0, 2, size=(5, 16), dtype=np.uint8)
-    out = polar_transform(u)
-    assert out.shape == (5, 16)
-    for row_in, row_out in zip(u, out):
-        assert (polar_transform(row_in) == row_out).all()
+    for rows in (u, np.asfortranarray(u)):  # the transform works on a copy
+        out = polar_transform(rows)
+        assert out.shape == (5, 16) and out.flags.c_contiguous
+        assert (rows == u).all()
+        for row_in, row_out in zip(u, out):
+            assert (polar_transform(row_in) == row_out).all()
 
 
 def test_transform_rejects_bad_input():
@@ -258,6 +260,14 @@ def test_equivocation_delta_zero_is_exactly_zero():
     stats = equivocation_stats(16, 0.0, samples=10, seed=0)
     assert (stats.equivocations == 0.0).all()
     assert stats.total_mean == 0.0
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_equivocation_rejects_nonpositive_batch_size(delta):
+    # validated before the delta = 0 shortcut, so both deltas refuse it
+    for batch_size in (0, -3):
+        with pytest.raises(ValueError, match="batch size"):
+            equivocation_stats(16, delta, samples=10, batch_size=batch_size)
 
 
 def test_equivocation_batch_size_cannot_change_results():

@@ -2,12 +2,15 @@
 
 tests/sc_oracle.py keeps the recursive, allocate-per-node kernel.  The
 buffered, rate-0-pruned kernel in genoweave.polar must agree with it byte
-for byte: decisions, partial sums, genie leaf LLRs and the Monte-Carlo
-equivocation statistics built on them.
+for byte on decisions and partial sums, and the level-by-level genie
+butterfly on leaf LLRs and the Monte-Carlo equivocation statistics built
+on them, however construction is blocked and threaded.
 """
 
 import gc
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,17 +76,17 @@ def test_decode_matches_oracle(n, B):
 @pytest.mark.parametrize("B", [1, 7, 256])
 @pytest.mark.parametrize("n", SIZES)
 def test_genie_leaf_llrs_match_oracle(n, B):
+    # the level-by-level butterfly against the successive decoder's leaves
     rng = np.random.default_rng(2000 * n + B)
     for lam in _llr_batches(n, B, rng):
         for forced in (np.zeros((B, n), np.uint8), rng.integers(0, 2, (B, n), dtype=np.uint8)):
-            leaf = np.empty((B, n))
-            want_leaf = np.empty((B, n))
-            u, x = polar._sc_batch(lam.copy(), None, forced=forced, leaf_llrs=leaf)
-            want_u, want_x = sc_oracle._sc_batch(lam.copy(), None, forced=forced,
-                                                 leaf_llrs=want_leaf)
-            _same(leaf, want_leaf)
-            _same(u, want_u)
-            _same(x, want_x)
+            want = np.empty((B, n))
+            sc_oracle._sc_batch(lam.copy(), None, forced=forced, leaf_llrs=want)
+            leaf = polar._genie_leaf_llrs(lam.T.copy(), np.ascontiguousarray(forced.T))
+            _same(np.ascontiguousarray(leaf.T), want)
+            if not forced.any():
+                leaf = polar._genie_leaf_llrs(lam.T.copy(), None)
+                _same(np.ascontiguousarray(leaf.T), want)
 
 
 @pytest.mark.parametrize("kind, delta, mode", [("deletion", 0.01, "push"),
@@ -112,15 +115,53 @@ def test_pool_decode_llrs_match_oracle(monkeypatch, kind, delta, mode):
     assert len(calls) == 64
 
 
-@pytest.mark.parametrize("delta, samples, batch_size", [(0.05, 300, None), (0.01, 200, 64),
-                                                        (0.5, 50, 7)])
-def test_equivocation_stats_match_oracle(delta, samples, batch_size):
-    got = equivocation_stats(64, delta, samples=samples, seed=3, batch_size=batch_size)
-    want = sc_oracle.equivocation_stats(64, delta, samples=samples, seed=3,
-                                        batch_size=batch_size)
+def _same_stats(got, want):
     _same(got.equivocations, want.equivocations)
     assert got.total_mean == want.total_mean
     assert got.total_se == want.total_se
+
+
+def _match_oracle(n, delta, samples, batch_size):
+    got = equivocation_stats(n, delta, samples=samples, seed=3, batch_size=batch_size)
+    want = sc_oracle.equivocation_stats(n, delta, samples=samples, seed=3,
+                                        batch_size=batch_size)
+    _same_stats(got, want)
+
+
+@pytest.mark.parametrize("delta, samples, batch_size", [(0.05, 300, None), (0.01, 200, 64),
+                                                        (0.5, 50, 7)])
+def test_equivocation_stats_match_oracle(delta, samples, batch_size):
+    _match_oracle(64, delta, samples, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [None, 7])
+def test_equivocation_stats_match_oracle_at_n4096(batch_size):
+    # the production shape; the default chunk holds blocks of 32 and 8 samples,
+    # which run on threads, and chunks of 7 run inline
+    _match_oracle(4096, 0.01, 40, batch_size)
+
+
+def test_threaded_construction_matches_oracle_under_stress(monkeypatch):
+    # more workers than cores, blocks of 3 samples and a thread switch every
+    # microsecond: a lost or reordered block would change the sums
+    monkeypatch.setattr(polar, "_workers", lambda: 8)
+    monkeypatch.setattr(polar, "_BLOCK_FLOATS", 3 * 64)
+    want = sc_oracle.equivocation_stats(64, 0.05, samples=200, seed=11, batch_size=50)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for batch_size in (None, 50, 7):
+            worker = threading.Thread(target=lambda bs=batch_size: got.append(
+                equivocation_stats(64, 0.05, samples=200, seed=11, batch_size=bs)), daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "construction did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 3
+    for stats in got:
+        _same_stats(stats, want)
 
 
 def test_rate1_node_keeps_sc_tie_rule():
