@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polar import _is_binary
+
 __all__ = [
     "ERASURE",
     "ChannelSpec",
@@ -56,12 +58,12 @@ class ChannelSpec:
 
 
 def _check_strand(strand) -> np.ndarray:
-    s = np.asarray(strand, dtype=np.uint8)
+    s = np.asarray(strand)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("strand must be a nonempty vector")
-    if not np.isin(s, (0, 1)).all():
+    if not _is_binary(s):
         raise ValueError("strand must be binary")
-    return s
+    return s.astype(np.uint8, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +116,22 @@ def quaternary_merge(real, imag) -> str:
 
 
 def _check_pool(pool) -> np.ndarray:
-    p = np.asarray(pool, dtype=np.uint8)
+    p = np.asarray(pool)
     if p.ndim != 2:
         raise ValueError("pool must be a (strands, length) matrix")
-    if p.size and not np.isin(p, (0, 1)).all():
+    if not _is_binary(p):
         raise ValueError("pool must be binary")
-    return p
+    return p.astype(np.uint8, copy=False)
 
 
 def _compact_rows(values: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Stable left-compaction of the present entries of each row; the rest
-    # of the row becomes erasures.
+    # of the row becomes erasures.  Boolean indexing runs in row-major
+    # order, so values[present] lists each row's present entries in order,
+    # row after row, and the first lengths[r] slots of row r take them so.
     lengths = present.sum(axis=1)
-    order = np.argsort(~present, axis=1, kind="stable")
-    gathered = np.take_along_axis(values, order, axis=1)
-    width = values.shape[1]
-    obs = np.where(np.arange(width) < lengths[:, None], gathered, ERASURE).astype(np.uint8)
+    obs = np.full(values.shape, ERASURE, dtype=np.uint8)
+    obs[np.arange(values.shape[1]) < lengths[:, None]] = values[present]
     return obs, lengths.astype(np.int64)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import IO
@@ -45,6 +46,14 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _is_binary(a: np.ndarray) -> bool:
+    # on the raw array, before any cast: a cast to uint8 maps 0.5 and 256 to 0
+    # and 257 to 1
+    if a.dtype.kind in "bu":
+        return bool((a <= 1).all())
+    return bool(((a == 0) | (a == 1)).all())
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -61,7 +70,7 @@ def polar_transform(u) -> np.ndarray:
     n = u.shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"length must be a power of two, got {n}")
-    if u.size and not np.isin(u, (0, 1)).all():
+    if not _is_binary(u):
         raise ValueError("input must be binary")
     # butterfly on a position-major copy: each stage XORs contiguous blocks
     # of half * rows bits instead of many tiny row slices
@@ -165,10 +174,11 @@ def design_polar_code(n: int, delta: float, samples: int = 1000, seed: int = 0,
 #   boxplus(a, b) = sign(a) sign(b) min(|a|,|b|)
 #                   + log1p(exp(-|a+b|)) - log1p(exp(-|a-b|))
 # and sign(a) sign(b) min(|a|,|b|) equals (|a+b| - |a-b|)/2, which saves a
-# few array passes on the hot path.  The kernel and the genie butterfly
-# evaluate every formula below with the same operations in the same order,
-# so their decisions and LLRs are bit-identical to a plain recursive SC
-# decoder's.
+# few array passes on the hot path.  _boxplus and _gfun return their calls
+# as (ufunc, args) steps, which the kernel binds into a plan once and the
+# genie butterfly runs right away.  Both evaluate every formula with the same
+# operations in the same order, so their decisions and LLRs are
+# bit-identical to a plain recursive SC decoder's.
 
 
 def _boxplus(a, b, out, sd):
@@ -176,13 +186,13 @@ def _boxplus(a, b, out, sd):
     # in place; sd is scratch of shape (2,) + out.shape that holds s and d
     # together, so each elementwise step on both is one call
     s, d = sd
-    np.add(a, b, out=s)
-    np.subtract(a, b, out=d)
-    np.abs(sd, out=sd)
-    np.multiply(np.subtract(s, d, out=out), 0.5, out=out)
-    np.log1p(np.exp(np.negative(sd, out=sd), out=sd), out=sd)
-    np.add(out, s, out=out)
-    np.subtract(out, d, out=out)
+    return [(np.add, (a, b, s)), (np.subtract, (a, b, d)), (np.abs, (sd, sd)),
+            (np.subtract, (s, d, out)), (np.multiply, (out, 0.5, out)),
+            (np.negative, (sd, sd)), (np.exp, (sd, sd)), (np.log1p, (sd, sd)),
+            (np.add, (out, s, out)), (np.subtract, (out, d, out))]
+
+
+_SIGN_SHIFT = np.uint64(63)  # a uint64 scalar, so x << 63 is computed in uint64
 
 
 def _gfun(a, b, x, out, sd):
@@ -190,13 +200,12 @@ def _gfun(a, b, x, out, sd):
     # a's sign bit is an exact negation and b + (-a) is b - a in IEEE
     # arithmetic, which avoids np.where's two full candidate arrays.
     if x is None:
-        np.add(b, a, out=out)
-        return
+        return [(np.add, (b, a, out))]
     s = sd[0]
     bits = s.view(np.uint64)
-    np.left_shift(x, 63, out=bits, dtype=np.uint64)
-    np.bitwise_xor(a.view(np.uint64), bits, out=bits)
-    np.add(b, s, out=out)
+    return [(np.left_shift, (x, _SIGN_SHIFT, bits)),
+            (np.bitwise_xor, (a.view(np.uint64), bits, bits)),
+            (np.add, (b, s, out))]
 
 
 def _boxplus_robust(a, b, out, sd):
@@ -215,70 +224,105 @@ def _gfun_robust(a, b, x, out, sd):
     out[...] = np.nan_to_num(r, nan=0.0, posinf=np.inf, neginf=-np.inf)
 
 
-def _fg(lam):
-    # the f/g pair for these LLRs: the in-place one when all are finite, the
-    # robust one when +-inf sentinels occur
+def _run(steps) -> None:
+    for fn, args in steps:
+        fn(*args)
+
+
+def _is_robust(lam) -> bool:
+    # whether these LLRs need the robust f/g: +-inf sentinels occur
     if np.isfinite(lam).all():
-        return _boxplus, _gfun
+        return False
     if np.isnan(lam).any():
         raise ValueError("LLRs must be finite or +-inf, got NaN")
-    return _boxplus_robust, _gfun_robust
+    return True
 
 
-class _SCRun:
-    """Buffers and schedule of one batched SC run; _sc_node walks the tree.
+def _one_step(fn):
+    return lambda *args: [(fn, args)]
 
-    Arrays are position-major, (positions, B): the two halves of a node's
-    LLRs and a leaf's B decisions are then contiguous blocks.  lev[l] holds
-    the LLRs of the node being visited at depth l and sd[l] the f/g scratch
-    for its children.  ones[j] counts the info positions before j, so
-    ones[j0 + h] == ones[j0] marks a subtree whose u and x are all 0.
+
+def _fg(robust: bool):
+    # f and g as step builders: each returns the calls that write f(a, b)
+    # or g(a, b, x) into out; the robust forms are one call each
+    if robust:
+        return _one_step(_boxplus_robust), _one_step(_gfun_robust)
+    return _boxplus, _gfun
+
+
+class _SCPlan:
+    """SC decoding compiled for one frozen mask, batch width and LLR kind.
+
+    The workspace is position-major, (positions, B): the two halves of a
+    node's LLRs and a leaf's B decisions are then contiguous blocks.  lev[l]
+    holds the LLRs of the node being visited at depth l, lev[0] the channel
+    LLRs, and sd[l] the f/g scratch for its children.  The builder walks the
+    tree once and appends every call of the walk to steps with its views
+    bound, so a run is one flat loop.  A subtree with no info position (rate
+    0) emits nothing: its u and x are 0 and its LLRs are never needed.
+    ones[j] counts the info positions before j, so ones[j0 + h] == ones[j0]
+    marks such a subtree.
     """
 
-    __slots__ = ("n", "lev", "sd", "u", "ub", "x", "ones", "f", "g")
+    __slots__ = ("key", "n", "lev", "sd", "u", "ub", "x", "ones", "f_steps", "g", "steps")
 
-    def __init__(self, lam, u, x, ones, fg):
-        n, B = lam.shape
+    def __init__(self, key, frozen_mask: np.ndarray, B: int, robust: bool):
+        n = frozen_mask.size
         m = n.bit_length() - 1
-        self.n = n
-        self.lev = [lam] + [np.empty((n >> l, B)) for l in range(1, m + 1)]
+        self.key, self.n = key, n
+        self.lev = [np.empty((n >> l, B)) for l in range(m + 1)]
         sd = np.empty(n * B)
         self.sd = [sd[:n * B >> l].reshape(2, n >> l + 1, B) for l in range(m)]
-        self.u, self.ub, self.x = u, u.view(np.bool_), x
-        self.ones = ones
-        self.f, self.g = fg
+        # frozen u bits are never written, so they stay 0 from here on
+        self.u = np.zeros((n, B), dtype=np.uint8)
+        self.ub = self.u.view(np.bool_)
+        self.x = np.empty((n, B), dtype=np.uint8)
+        self.ones = np.concatenate(([0], np.cumsum(~frozen_mask))).tolist()
+        f, self.g = _fg(robust)
+        # every node at depth l runs f on the same views, so they share its steps
+        self.f_steps = [f(lev[:len(lev) // 2], lev[len(lev) // 2:], nxt, sd)
+                        for lev, nxt, sd in zip(self.lev, self.lev[1:], self.sd)]
+        self.steps = []
+        if self.ones[-1]:
+            self._visit(0, 0)
 
-
-def _sc_node(r: _SCRun, l: int, j0: int) -> None:
-    # Visit the depth-l node (size h >= 2) whose first leaf is j0 and whose
-    # LLRs are in r.lev[l]; writes u and x of the subtree in place.  A
-    # subtree with no info position (rate 0) is skipped: its u and x stay 0
-    # and its LLRs are never needed.
-    half = r.n >> l + 1
-    jm, j1 = j0 + half, j0 + 2 * half
-    left = r.ones[jm] != r.ones[j0]
-    right = r.ones[j1] != r.ones[jm]
-    a, b = r.lev[l][:half], r.lev[l][half:]
-    out = r.lev[l + 1]
-    x = r.x
-    if left:
-        r.f(a, b, out, r.sd[l])
-        if half > 1:
-            _sc_node(r, l + 1, j0)
-        else:
-            np.less(out, 0.0, out=r.ub[j0:jm])
-            x[j0] = r.u[j0]
-    if right:
-        r.g(a, b, x[j0:jm] if left else None, out, r.sd[l])
-        if half > 1:
-            _sc_node(r, l + 1, jm)
-        else:
-            np.less(out, 0.0, out=r.ub[jm:j1])
-            x[jm] = r.u[jm]
+    def _visit(self, l: int, j0: int) -> None:
+        # emit the steps of the depth-l node whose first leaf is j0 and whose
+        # LLRs are in lev[l]; they write u and x of the subtree
+        half = self.n >> l + 1
+        if half == 0:  # a leaf
+            self.steps += [(np.less, (self.lev[l], 0.0, self.ub[j0:j0 + 1])),
+                           (np.copyto, (self.x[j0], self.u[j0]))]
+            return
+        jm, j1 = j0 + half, j0 + 2 * half
+        left = self.ones[jm] != self.ones[j0]
+        right = self.ones[j1] != self.ones[jm]
+        a, b = self.lev[l][:half], self.lev[l][half:]
+        out, sd, x = self.lev[l + 1], self.sd[l], self.x
         if left:
-            np.bitwise_xor(x[j0:jm], x[jm:j1], out=x[j0:jm])
-        else:
-            x[j0:jm] = x[jm:j1]
+            self.steps += self.f_steps[l]
+            self._visit(l + 1, j0)
+        if right:
+            self.steps += self.g(a, b, x[j0:jm] if left else None, out, sd)
+            self._visit(l + 1, jm)
+            if left:
+                self.steps.append((np.bitwise_xor, (x[j0:jm], x[jm:j1], x[j0:jm])))
+            else:
+                self.steps.append((np.copyto, (x[j0:jm], x[jm:j1])))
+
+    def run(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.copyto(self.lev[0], llrs.T)
+        # a parent's XOR writes x slots of rate-0 subtrees, which no step resets
+        self.x.fill(0)
+        _run(self.steps)
+        # copies: the workspace is reused by the next run
+        return self.u.T.copy(), self.x.T.copy()
+
+
+# The most recent plan of each thread.  A pool decode calls the kernel at
+# every strand position with the same code and width, so one plan serves
+# all of them; per thread, so a PolarCode can be shared across threads.
+_plans = threading.local()
 
 
 def _sc_batch(llrs: np.ndarray, frozen_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,21 +330,15 @@ def _sc_batch(llrs: np.ndarray, frozen_mask: np.ndarray) -> tuple[np.ndarray, np
 
     llrs is (B, n).  Frozen positions decode to 0 and data positions take
     the sign decision, with LLR == 0 decoding to 0.  Returns (u_hat, x_hat),
-    both (B, n) uint8.
+    both (B, n) uint8 arrays of their own.
     """
-    B, n = llrs.shape
-    lam = np.ascontiguousarray(llrs.T, dtype=np.float64)
-    fg = _fg(lam)
-    u = np.zeros((n, B), dtype=np.uint8)
-    x = u.copy()
-    ones = np.concatenate(([0], np.cumsum(~frozen_mask))).tolist()
-    if n == 1:  # the root is a leaf
-        if ones[-1]:
-            np.less(lam, 0.0, out=u.view(np.bool_))
-            x[...] = u
-    elif ones[-1]:
-        _sc_node(_SCRun(lam, u, x, ones, fg), 0, 0)
-    return u.T, x.T
+    B, robust = llrs.shape[0], _is_robust(llrs)
+    key = (B, robust, frozen_mask.tobytes())
+    plan = getattr(_plans, "plan", None)
+    if plan is None or plan.key != key:
+        plan = _plans.plan = None  # free the old workspace before building the next
+        plan = _plans.plan = _SCPlan(key, frozen_mask, B, robust)
+    return plan.run(llrs)
 
 
 def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +387,7 @@ def _genie_leaf_llrs(lam: np.ndarray, u: np.ndarray | None) -> np.ndarray:
     """
     n, B = lam.shape
     m = n.bit_length() - 1
-    f, g = _fg(lam)
+    f, g = _fg(_is_robust(lam))
     # xs[l]: partial sums of the left children at depth l + 1, the polar
     # transform of u over each of their blocks, built bottom-up
     xs = [None] * m
@@ -365,8 +403,8 @@ def _genie_leaf_llrs(lam: np.ndarray, u: np.ndarray | None) -> np.ndarray:
         shape = (1 << l, 2, n >> l + 1, B)
         v, w = cur.reshape(shape), nxt.reshape(shape)
         sdl = sd.reshape((2,) + shape[:1] + shape[2:])
-        f(v[:, 0], v[:, 1], w[:, 0], sdl)
-        g(v[:, 0], v[:, 1], xs[l], w[:, 1], sdl)
+        _run(f(v[:, 0], v[:, 1], w[:, 0], sdl))
+        _run(g(v[:, 0], v[:, 1], xs[l], w[:, 1], sdl))
         cur, nxt = nxt, cur
     return cur
 
@@ -405,7 +443,7 @@ def genie_posteriors(llrs, true_u) -> PosteriorSample:
         raise ValueError("LLRs must be a vector of power-of-two length")
     n = llrs.shape[0]
     tu = np.asarray(true_u)
-    if tu.shape != (n,) or (tu.size and not np.isin(tu, (0, 1)).all()):
+    if tu.shape != (n,) or not _is_binary(tu):
         raise ValueError("true_u must be a length-n bit-vector")
     leaf = _genie_leaf_llrs(llrs[:, None].copy(), tu.astype(np.uint8)[:, None])
     return PosteriorSample(rho=_sigmoid(leaf[:, 0]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ERASURE, llr_table
-from .polar import PolarCode, polar_transform, sc_decode_batch
+from .polar import PolarCode, _is_binary, polar_transform, sc_decode_batch
 
 __all__ = [
     "Pool",
@@ -35,11 +35,12 @@ class Pool:
     strands: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.strands, dtype=np.uint8).copy()
+        s = np.asarray(self.strands)
         if s.ndim != 2 or s.size == 0:
             raise ValueError("pool must be a nonempty (strands, length) matrix")
-        if not np.isin(s, (0, 1)).all():
+        if not _is_binary(s):
             raise ValueError("pool must be binary")
+        s = s.astype(np.uint8)  # a copy, so freezing it leaves the caller's array alone
         s.setflags(write=False)
         object.__setattr__(self, "strands", s)
 
@@ -65,7 +66,7 @@ def weave_encode(info_bits, code: PolarCode) -> Pool:
     Row p of info_bits fills the info positions of the p-th codeword; the
     codeword's bits are scattered across the n strands at position p.
     """
-    info = np.asarray(info_bits, dtype=np.uint8)
+    info = np.asarray(info_bits)
     if info.ndim != 2:
         raise ValueError("info_bits must be a (length, k) matrix")
     length, k = info.shape
@@ -73,7 +74,7 @@ def weave_encode(info_bits, code: PolarCode) -> Pool:
         raise ValueError(f"expected {code.k} info columns, got {k}")
     if length < 1:
         raise ValueError("need at least one position")
-    if info.size and not np.isin(info, (0, 1)).all():
+    if not _is_binary(info):
         raise ValueError("info_bits must be binary")
     u = np.zeros((length, code.n), dtype=np.uint8)   # frozen positions stay 0
     u[:, code.info_set] = info
@@ -119,6 +120,8 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     offsets = np.zeros((W, n), dtype=np.int64)
     info_out = np.empty((W, length, code.k), dtype=np.uint8)
     history = np.empty((W, length, n), dtype=np.int64) if trace else None
+    if W == 0:  # nothing to decode, and no offsets to take a minimum of
+        return BatchDecodeResult(info_bits=info_out, offsets=offsets, offset_history=history)
 
     # strand (w, s) starts at flat index (w n + s) width of the contiguous obs
     flat = obs.reshape(-1)

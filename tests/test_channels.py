@@ -330,6 +330,67 @@ def test_delete_pool_coincident_shares_the_kept_set():
         assert _is_subsequence(got, sent)
 
 
+def _compact_rows_by_argsort(values, present):
+    # the sort-based compaction the pool channels used first, kept as the reference
+    lengths = present.sum(axis=1)
+    order = np.argsort(~present, axis=1, kind="stable")
+    gathered = np.take_along_axis(values, order, axis=1)
+    obs = np.where(np.arange(values.shape[1]) < lengths[:, None], gathered, ERASURE)
+    return obs.astype(np.uint8), lengths.astype(np.int64)
+
+
+def _same_output(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_pool_channels_match_argsort_compaction():
+    # each channel's first draws replayed from its seed give the kept and
+    # inserted sets, which the reference compacts
+    rng = np.random.default_rng(24)
+    for _ in range(30):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 80)))
+        delta = float(rng.choice([0.01, 0.2, 0.7]))
+        pool = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        imag = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        seed = int(rng.integers(1 << 32))
+
+        keep = np.random.default_rng(seed).random(shape) >= delta
+        _same_output(delete_pool(pool, delta, np.random.default_rng(seed)),
+                     _compact_rows_by_argsort(pool, keep))
+        real_out, imag_out = delete_pool_coincident(pool, imag, delta,
+                                                    np.random.default_rng(seed))
+        _same_output(real_out, _compact_rows_by_argsort(pool, keep))
+        _same_output(imag_out, _compact_rows_by_argsort(imag, keep))
+
+        draws = np.random.default_rng(seed)
+        ins = draws.random(shape) < delta
+        bits = draws.integers(0, 2, size=shape, dtype=np.uint8)
+        values = np.stack((bits, pool), axis=2).reshape(shape[0], -1)
+        present = np.stack((ins, np.ones(shape, bool)), axis=2).reshape(shape[0], -1)
+        _same_output(insert_pool(pool, delta, np.random.default_rng(seed)),
+                     _compact_rows_by_argsort(values, present))
+
+
+@pytest.mark.parametrize("bad", [0.5, 256, 257])
+def test_channels_reject_values_a_uint8_cast_would_hide(bad):
+    # 0.5 and 256 cast to 0 and 257 to 1, so the check must see the raw values
+    pool = np.array([[0, 1, bad, 1]])
+    bits = np.zeros((1, 4), dtype=np.uint8)
+    rng = np.random.default_rng(0)
+    for channel in (bsc_pool, delete_pool, insert_pool):
+        with pytest.raises(ValueError, match="binary"):
+            channel(pool, 0.1, rng)
+    with pytest.raises(ValueError, match="binary"):
+        apply_channel_pool(pool, ChannelSpec("deletion", 0.1), rng)
+    for real, imag in ((pool, bits), (bits, pool)):
+        with pytest.raises(ValueError, match="binary"):
+            delete_pool_coincident(real, imag, 0.1, rng)
+        with pytest.raises(ValueError, match="binary"):
+            quaternary_merge(real[0], imag[0])
+
+
 def test_apply_channel_pool_dispatch_matches_components():
     rng = np.random.default_rng(22)
     pool = rng.integers(0, 2, size=(6, 16), dtype=np.uint8)

@@ -81,6 +81,17 @@ def test_transform_rejects_bad_input():
         polar_transform(np.array([0, 2, 1, 1], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("bad", [0.5, 256, 257])
+def test_bit_inputs_reject_values_a_uint8_cast_would_hide(bad):
+    bits = np.array([0, 1, bad, 1])
+    with pytest.raises(ValueError, match="binary"):
+        polar_transform(bits)
+    with pytest.raises(ValueError, match="binary"):
+        polar_transform(bits[None])
+    with pytest.raises(ValueError, match="bit-vector"):
+        genie_posteriors(np.ones(4), bits)
+
+
 # ---------------------------------------------------------------------------
 # SC decoding
 

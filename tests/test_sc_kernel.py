@@ -61,16 +61,20 @@ def _llr_batches(n, B, rng):
     yield lam
 
 
+def _check_oracle(lam, code):
+    u, x = sc_decode_batch(lam, code)
+    want_u, want_x = sc_oracle._sc_batch(lam.copy(), code.frozen_mask)
+    _same(u, want_u)
+    _same(x, want_x)
+
+
 @pytest.mark.parametrize("B", [1, 7, 256])
 @pytest.mark.parametrize("n", SIZES)
 def test_decode_matches_oracle(n, B):
     rng = np.random.default_rng(1000 * n + B)
     for code in _codes(n, rng):
         for lam in _llr_batches(n, B, rng):
-            u, x = sc_decode_batch(lam, code)
-            want_u, want_x = sc_oracle._sc_batch(lam.copy(), code.frozen_mask)
-            _same(u, want_u)
-            _same(x, want_x)
+            _check_oracle(lam, code)
 
 
 @pytest.mark.parametrize("B", [1, 7, 256])
@@ -172,6 +176,72 @@ def test_rate1_node_keeps_sc_tie_rule():
     u, x = sc_decode_batch([[8.881784197001252e-16, -35.5539919]], code)
     assert u.tolist() == [[0, 1]]
     assert x.tolist() == [[1, 1]]
+
+
+def test_plans_carry_no_state_between_calls():
+    # codes that share n and B but not their mask, each decoded twice in a
+    # row and alternated.  At n=4 with info set [0, 3] the root XOR writes
+    # x[1], a slot of the rate-0 leaf 1 that no later step resets.
+    rng = np.random.default_rng(41)
+    for n, B in ((4, 7), (16, 7), (64, 5)):
+        codes = [_code_with_info(n, []), _code_with_info(n, np.arange(n)),
+                 _code_with_info(n, np.sort(rng.choice(n, size=n // 2, replace=False)))]
+        if n == 4:
+            codes.append(_code_with_info(4, [0, 3]))
+        for _ in range(3):
+            for code in codes:
+                for _ in range(2):
+                    _check_oracle(rng.normal(scale=4.0, size=(B, n)), code)
+                    _check_oracle(rng.choice([np.inf, -np.inf, 0.0, L0], size=(B, n)), code)
+
+
+def test_results_do_not_alias_the_workspace():
+    code = _code_with_info(16, [3, 7, 11, 12, 13, 14, 15])
+    rng = np.random.default_rng(42)
+    u1, x1 = sc_decode_batch(rng.normal(scale=4.0, size=(5, 16)), code)
+    kept = u1.copy(), x1.copy()
+    u2, x2 = sc_decode_batch(rng.normal(scale=4.0, size=(5, 16)), code)
+    _same(u1, kept[0])
+    _same(x1, kept[1])
+    for a in (u1, x1):
+        for b in (u2, x2):
+            assert not np.shares_memory(a, b)
+
+
+def test_threads_decode_bit_identically_under_stress():
+    # each thread cycles through its own codes and widths, so every thread
+    # rebuilds and reruns plans while the others do; a shared workspace
+    # would mix their results
+    rng = np.random.default_rng(43)
+    jobs = []
+    for n, B in ((4, 7), (16, 1), (64, 3), (64, 9), (256, 2)):
+        code = _code_with_info(n, np.sort(rng.choice(n, size=n // 2, replace=False)))
+        lam = rng.normal(scale=4.0, size=(B, n))
+        jobs.append((code, lam, sc_oracle._sc_batch(lam.copy(), code.frozen_mask)))
+    mismatches, done = [], []
+
+    def decode(order):
+        for _ in range(20):
+            for code, lam, (want_u, want_x) in (jobs[i] for i in order):
+                u, x = sc_decode_batch(lam, code)
+                if u.tobytes() != want_u.tobytes() or x.tobytes() != want_x.tobytes():
+                    mismatches.append(code.n)
+        done.append(1)
+
+    threads = [threading.Thread(target=decode, args=(np.roll(np.arange(len(jobs)), t),),
+                                daemon=True) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "decoding did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(done) == 4
+    assert mismatches == []
 
 
 def test_kernel_leaves_no_reference_cycles():

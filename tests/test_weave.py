@@ -272,6 +272,26 @@ def test_decode_pool_batch_rejects_unknown_symbols():
         decode_pool_batch(np.full((1, 4, 4), -1), code, "fixed", 4)
 
 
+def test_decode_pool_batch_of_no_pools_is_empty():
+    code = _full_rate_code(4)
+    for mode, width in (("push", 8), ("pull", 16), ("fixed", 8)):
+        res = decode_pool_batch(np.zeros((0, 4, width), np.uint8), code, mode, 8, trace=True)
+        assert res.info_bits.shape == (0, 8, 4) and res.info_bits.dtype == np.uint8
+        assert res.offsets.shape == (0, 4) and res.offset_history.shape == (0, 8, 4)
+        assert decode_pool_batch(np.zeros((0, 4, width), np.uint8), code, mode,
+                                 8).offset_history is None
+
+
+@pytest.mark.parametrize("bad", [0.5, 256, 257])
+def test_encode_and_pool_reject_values_a_uint8_cast_would_hide(bad):
+    # 0.5 and 256 cast to 0 and 257 to 1, so the check must see the raw values
+    bits = np.array([[0, 1, bad, 1]])
+    with pytest.raises(ValueError, match="binary"):
+        weave_encode(bits, _full_rate_code(4))
+    with pytest.raises(ValueError, match="binary"):
+        Pool(strands=bits)
+
+
 def test_pool_validation():
     with pytest.raises(ValueError):
         Pool(strands=np.array([[0, 2]], dtype=np.uint8))
