@@ -192,7 +192,9 @@ def _boxplus(a, b, out, sd):
             (np.add, (out, s, out)), (np.subtract, (out, d, out))]
 
 
-_SIGN_SHIFT = np.uint64(63)  # a uint64 scalar, so x << 63 is computed in uint64
+# x << 63 with the uint64 loop named: a uint64 scalar shift count alone does
+# not pick it on numpy 1.x, whose value-based casting reads 63 as uint8
+_shift_u64 = partial(np.left_shift, dtype=np.uint64)
 
 
 def _gfun(a, b, x, out, sd):
@@ -203,7 +205,7 @@ def _gfun(a, b, x, out, sd):
         return [(np.add, (b, a, out))]
     s = sd[0]
     bits = s.view(np.uint64)
-    return [(np.left_shift, (x, _SIGN_SHIFT, bits)),
+    return [(_shift_u64, (x, 63, bits)),
             (np.bitwise_xor, (a.view(np.uint64), bits, bits)),
             (np.add, (b, s, out))]
 

@@ -11,6 +11,7 @@ import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +243,33 @@ def test_threads_decode_bit_identically_under_stress():
         sys.setswitchinterval(interval)
     assert len(done) == 4
     assert mismatches == []
+
+
+def test_sign_flip_shift_runs_in_uint64():
+    # g flips a's sign bit with x << 63.  A uint8 shift loop turns 1 << 63
+    # into 0, and g would then add a where it must subtract it.
+    a, b, out = np.zeros((3, 4, 2))
+    x = np.array([[0, 1], [1, 0], [1, 1], [0, 0]], np.uint8)
+    fn, (xs, count, _) = polar._gfun(a, b, x, out, np.empty((2, 4, 2)))[0]
+    bits = fn(xs, count)
+    assert bits.dtype == np.uint64
+    assert bits.tolist() == (x.astype(np.uint64) << np.uint64(63)).tolist()
+
+
+def test_a_new_plan_frees_the_previous_one():
+    # each thread keeps one plan; the one it replaces is freed by reference
+    # counting, so a stream of codes never holds more than one workspace
+    rng = np.random.default_rng(44)
+    lam = rng.normal(scale=4.0, size=(3, 16))
+    gc.collect()
+    gc.disable()
+    try:
+        sc_decode_batch(lam, _code_with_info(16, [5, 7, 15]))
+        old = weakref.ref(polar._plans.plan.lev[0])
+        sc_decode_batch(lam, _code_with_info(16, [6, 7, 15]))
+        assert old() is None
+    finally:
+        gc.enable()
 
 
 def test_kernel_leaves_no_reference_cycles():
