@@ -9,9 +9,10 @@ exactly zero decodes to 0.
 
 Decoding is batched: a (B, n) LLR array runs B independent decoders in
 lock step.  Genie-aided construction needs no decoder at all: with every
-decision forced, the partial sums are known up front, so the tree's LLRs
-are computed one level at a time with the decoder's f and g, in blocks
-of samples spread over threads.
+decision forced to 0, every partial sum is 0, so the tree's LLRs are
+computed one level at a time with the decoder's f and g, in blocks of
+samples spread over threads.  The first three levels come from a table
+over every pattern of BSC channel signs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "PolarCode",
     "polar_transform",
     "sc_decode_batch",
-    "genie_posteriors",
     "equivocation_stats",
     "select_info_set",
     "make_polar_code",
@@ -357,98 +357,105 @@ def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# genie-aided posteriors and Monte-Carlo construction
+# genie-aided Monte-Carlo construction
 
 
-@dataclass(frozen=True)
-class PosteriorSample:
-    """Genie-aided posteriors rho[j] = P(U_j = 0 | observations, true U_1..U_{j-1})."""
+def _butterfly(cur: np.ndarray, nxt: np.ndarray, sd: np.ndarray, start: int, f, g):
+    """Run levels start .. log2(n) - 1 of the genie butterfly on B samples.
 
-    rho: np.ndarray
+    With every decision forced to 0, every partial sum is 0, so level l + 1's
+    LLRs depend on level l's alone and each level applies f and g to all of
+    its nodes at once.  cur (n, B) holds level start's LLRs in natural order,
+    [node][offset][sample]; nxt (n, B) and sd (n * B) are scratch.  From
+    level switch = max(start, log2(n) // 2) on, the levels run on the order
+    [offset][node][sample]: every node's a and b halves are then the two
+    halves of the buffer, and level l writes f and g in runs of 2^l * B
+    floats instead of natural order's (n >> l + 1) * B, which shrink to B
+    at the leaves.  Each of those levels puts the child bit above the node
+    index; _to_natural undoes that.  Returns (leaves, spare, switch), where
+    leaves and spare are cur and nxt in some order.
+    """
+    n, B = cur.shape
+    m = n.bit_length() - 1
+    switch = max(start, m // 2)
+    for l in range(start, m):
+        half = n >> l + 1
+        if l == switch:
+            np.copyto(nxt.reshape(n >> l, 1 << l, B),
+                      cur.reshape(1 << l, n >> l, B).transpose(1, 0, 2))
+            cur, nxt = nxt, cur
+        if l < switch:
+            a, b = cur.reshape(1 << l, 2, half * B).transpose(1, 0, 2)
+            kids = nxt.reshape(1 << l, 2, half * B).transpose(1, 0, 2)
+        else:
+            a, b = cur.reshape(2, half, B << l)
+            kids = nxt.reshape(half, 2, B << l).transpose(1, 0, 2)
+        sdl = sd.reshape((2,) + a.shape)
+        _run(f(a, b, kids[0], sdl))
+        _run(g(a, b, None, kids[1], sdl))
+        cur, nxt = nxt, cur
+    return cur, nxt, switch
 
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=np.float64).copy()
-        if rho.ndim != 1:
-            raise ValueError("rho must be a vector")
-        if np.isnan(rho).any() or rho.min() < 0.0 or rho.max() > 1.0:
-            raise ValueError("posteriors must lie in [0, 1]")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+
+def _to_natural(leaves: np.ndarray, dest: np.ndarray, switch: int) -> np.ndarray:
+    """Copy _butterfly's leaves into dest, an (n, B) view, in leaf order.
+
+    Write leaf j as hi * 2^k + lo, where hi holds its first switch decisions
+    and k = log2(n) - switch.  Its LLRs are row rev[lo] * 2^switch + hi of
+    leaves, where rev reverses the k bits of lo.  Returns dest.
+    """
+    n, B = dest.shape
+    k = n.bit_length() - 1 - switch
+    # transposing a (2, ..., 2) array reverses the bits of its flat index
+    rev = np.arange(1 << k).reshape((2,) * k).T.ravel()
+    dest.reshape(1 << switch, 1 << k, B).transpose(1, 0, 2)[rev] = \
+        leaves.reshape(1 << k, 1 << switch, B)
+    return dest
 
 
-def _genie_leaf_llrs(lam: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+def _genie_leaf_llrs(lam: np.ndarray) -> np.ndarray:
     """Decision-point LLRs of B genie-aided SC decoders, (n, B).
 
-    lam is the (n, B) position-major channel LLRs and is overwritten; u
-    (n, B) holds the forced bits, None meaning all 0.  With every decision
-    forced, every partial sum is known up front, so level l + 1's LLRs
-    depend on level l's alone: log2(n) passes each apply f and g to every
-    node of a level at once.  f and g are the SC kernel's, with the same
-    operations in the same order, so each leaf LLR is byte-equal to the one
-    a successive decoder holds at that leaf's decision.
+    lam is the (n, B) position-major channel LLRs and is overwritten.  Every
+    decision is forced to 0, the bit construction sends.  f and g are the SC
+    kernel's, with the same operations in the same order, so each leaf LLR
+    is byte-equal to the one a successive decoder holds at that leaf's
+    decision.
     """
     n, B = lam.shape
-    m = n.bit_length() - 1
     f, g = _fg(_is_robust(lam))
-    # xs[l]: partial sums of the left children at depth l + 1, the polar
-    # transform of u over each of their blocks, built bottom-up
-    xs = [None] * m
-    if u is not None:
-        p = u.copy()
-        for l in range(m - 1, -1, -1):
-            v = p.reshape(1 << l, 2, n >> l + 1, B)
-            xs[l] = v[:, 0].copy()
-            v[:, 0] ^= v[:, 1]
-    sd = np.empty((2, n >> 1, B))
-    cur, nxt = lam, np.empty_like(lam)
-    for l in range(m):
-        shape = (1 << l, 2, n >> l + 1, B)
-        v, w = cur.reshape(shape), nxt.reshape(shape)
-        sdl = sd.reshape((2,) + shape[:1] + shape[2:])
-        _run(f(v[:, 0], v[:, 1], w[:, 0], sdl))
-        _run(g(v[:, 0], v[:, 1], xs[l], w[:, 1], sdl))
-        cur, nxt = nxt, cur
-    return cur
+    leaves, spare, switch = _butterfly(lam, np.empty_like(lam), np.empty(n * B), 0, f, g)
+    return _to_natural(leaves, spare, switch)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # np.where evaluates both branches, so the inactive one can overflow or
-    # produce inf/inf; both are discarded.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+# The first levels of the butterfly are tabulated.  BSC channel LLRs are
+# +-L0, and element t of a depth-d node depends on the channel LLRs at
+# t + i * (n >> d), i < 2^d, alone, so level d holds one of 2^(2^d) values
+# per node: a table of 8 x 256 floats at d = 3.
+_TABLE_LEVELS = 3
 
 
-def _h2_of_llr(llr: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _genie_table(n: int, llr0: float) -> np.ndarray:
+    # (2^d, 2^(2^d)): column p holds level d's LLRs for the pattern whose
+    # channel i is flipped where bit i of p is set, d = min(3, log2 n)
+    d = min(_TABLE_LEVELS, n.bit_length() - 1)
+    bits = (np.arange(1 << (1 << d)) >> np.arange(1 << d)[:, None]) & 1
+    return _genie_leaf_llrs(llr0 * (1.0 - 2.0 * bits))
+
+
+def _h2_of_llr(llr: np.ndarray, scratch: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     # Binary entropy of sigmoid(llr), evaluated directly from the LLR so the
     # deeply polarized tail keeps precision far below the 1e-16 that a
     # probability round-trip would allow:
     #   (log1p(et) + t * et / (1 + et)) / ln 2,  t = |llr|, et = exp(-t).
-    # Overwrites llr with the result and scratch (same shape) with log1p(et).
+    # Overwrites llr with the result, scratch (same shape) with log1p(et)
+    # and tmp (same shape) with 1 + et.
     t = np.abs(llr, out=llr)
     et = np.exp(np.negative(t, out=scratch), out=scratch)
     np.multiply(t, et, out=t)
-    np.divide(t, 1.0 + et, out=t)
+    np.divide(t, np.add(1.0, et, out=tmp), out=t)
     np.add(np.log1p(et, out=et), t, out=t)
     return np.divide(t, _LN2, out=t)
-
-
-def genie_posteriors(llrs, true_u) -> PosteriorSample:
-    """Successive-cancellation posteriors with all preceding bits revealed.
-
-    Runs the SC schedule but forces every decision to the true input bit,
-    recording the posterior P(U_j = 0 | ...) that the decoder held at the
-    moment of decision.  This is the per-bit-channel measurement behind
-    Monte-Carlo construction.
-    """
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.ndim != 1 or not _is_pow2(llrs.shape[0]):
-        raise ValueError("LLRs must be a vector of power-of-two length")
-    n = llrs.shape[0]
-    tu = np.asarray(true_u)
-    if tu.shape != (n,) or not _is_binary(tu):
-        raise ValueError("true_u must be a length-n bit-vector")
-    leaf = _genie_leaf_llrs(llrs[:, None].copy(), tu.astype(np.uint8)[:, None])
-    return PosteriorSample(rho=_sigmoid(leaf[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -487,14 +494,35 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _genie_block(n: int, delta: float, seed: int, start: int, c: int) -> np.ndarray:
-    # h2 of the genie posteriors of samples start .. start + c - 1, (c, n)
-    noise = np.empty((n, c))
-    for i in range(c):
-        noise[:, i] = np.random.default_rng([seed, start + i]).random(n)
-    lam = math.log((1.0 - delta) / delta) * (1.0 - 2.0 * (noise < delta))
-    h = _h2_of_llr(_genie_leaf_llrs(lam, None), noise)
-    return np.ascontiguousarray(h.T)
+def _genie_block(n: int, delta: float, seed: int, table: np.ndarray, work: threading.local,
+                 start: int, c: int) -> np.ndarray:
+    # h2 of the genie posteriors of samples start .. start + c - 1, as a new
+    # (c, n) array.  work holds this thread's three buffers of n * c floats
+    # for the whole call: blocks that allocated their own had them handed
+    # back to the OS and faulted in again, about 1 ms of a 16 ms block at
+    # n=4096.
+    bufs = getattr(work, "bufs", None)
+    if bufs is None or bufs.shape[1] < n * c:
+        bufs = work.bufs = np.empty((3, n * c))
+    rows, cur, sd = bufs[:, :n * c]
+    rows = rows.reshape(c, n)
+    for i, row in enumerate(rows):
+        np.random.default_rng([seed, start + i]).random(n, out=row)
+    # level d from the table: each (node offset, sample) packs the flips of
+    # its 2^d channels, at stride n >> d, into a pattern index; at most 8
+    # distinct bits, so the sum is exact in uint8
+    d = table.shape[0].bit_length() - 1
+    flips = (rows < delta).reshape(c, 1 << d, n >> d).view(np.uint8)
+    pattern = np.einsum("ckt,k->tc", flips, 1 << np.arange(1 << d, dtype=np.uint8))
+    pattern = pattern.astype(np.intp, order="C")
+    cur = cur.reshape(n, c)
+    for level, llrs in zip(cur.reshape(1 << d, n >> d, c), table):
+        np.take(llrs, pattern, out=level, mode="clip")
+    # the noise rows are spent: they serve as the second level buffer
+    leaves, _, switch = _butterfly(cur, rows.reshape(n, c), sd, d, _boxplus, _gfun)
+    h = np.empty((c, n))
+    _to_natural(leaves, h.T, switch)
+    return _h2_of_llr(h, leaves.reshape(c, n), sd.reshape(c, n))
 
 
 def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
@@ -520,6 +548,8 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
         return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
 
     block = max(1, _BLOCK_FLOATS // n)
+    table = _genie_table(n, math.log((1.0 - delta) / delta))
+    genie = partial(_genie_block, n, delta, seed, table, threading.local())
     eq_sum = np.zeros(n, dtype=np.float64)
     tot_sum = 0.0
     tot_sq = 0.0
@@ -535,7 +565,7 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
             starts = range(start, stop, block)
             sizes = [min(block, stop - s) for s in starts]
             run = map if len(starts) == 1 else pool.map  # a single block runs inline
-            for h in run(partial(_genie_block, n, delta, seed), starts, sizes):
+            for h in run(genie, starts, sizes):
                 # accumulate sample by sample so the result cannot depend on
                 # chunks, blocks or threads
                 for row in h:

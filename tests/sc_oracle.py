@@ -2,18 +2,21 @@
 
 This is the allocate-per-node recursive kernel that genoweave.polar used
 before its kernel was rewritten around preallocated buffers and rate-0
-pruning, kept unchanged as the oracle for tests/test_sc_kernel.py.  The
-new kernel must reproduce its decisions, partial sums, genie leaf LLRs and
-equivocation statistics byte for byte.
+pruning, kept as the oracle for tests/test_sc_kernel.py.  The new kernel
+must reproduce its decisions, partial sums, genie leaf LLRs and
+equivocation statistics byte for byte.  genie_posteriors, the decoder with
+every decision forced to a given bit, lives here too: construction only
+ever forces 0, so the package has no forced-bits path of its own.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from genoweave.polar import EquivocationStats
+from genoweave.polar import EquivocationStats, _is_binary
 
 _LN2 = math.log(2.0)
 
@@ -113,6 +116,49 @@ def _h2_of_llr(llr: np.ndarray) -> np.ndarray:
     t = np.abs(llr)
     et = np.exp(-t)
     return (np.log1p(et) + t * et / (1.0 + et)) / _LN2
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # np.where evaluates both branches, so the inactive one can overflow or
+    # produce inf/inf; both are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+@dataclass(frozen=True)
+class PosteriorSample:
+    """Genie-aided posteriors rho[j] = P(U_j = 0 | observations, true U_1..U_{j-1})."""
+
+    rho: np.ndarray
+
+    def __post_init__(self) -> None:
+        rho = np.asarray(self.rho, dtype=np.float64).copy()
+        if rho.ndim != 1:
+            raise ValueError("rho must be a vector")
+        if np.isnan(rho).any() or rho.min() < 0.0 or rho.max() > 1.0:
+            raise ValueError("posteriors must lie in [0, 1]")
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+
+
+def genie_posteriors(llrs, true_u) -> PosteriorSample:
+    """Successive-cancellation posteriors with all preceding bits revealed.
+
+    Runs the SC schedule but forces every decision to the true input bit,
+    recording the posterior P(U_j = 0 | ...) that the decoder held at the
+    moment of decision.  This is the per-bit-channel measurement behind
+    Monte-Carlo construction.
+    """
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 1 or not _is_pow2(llrs.shape[0]):
+        raise ValueError("LLRs must be a vector of power-of-two length")
+    n = llrs.shape[0]
+    tu = np.asarray(true_u)
+    if tu.shape != (n,) or not _is_binary(tu):
+        raise ValueError("true_u must be a length-n bit-vector")
+    leaf = np.empty((1, n))
+    _sc_batch(llrs[None], None, forced=tu.astype(np.uint8)[None], leaf_llrs=leaf)
+    return PosteriorSample(rho=_sigmoid(leaf[0]))
 
 
 def _default_batch(n: int, samples: int) -> int:

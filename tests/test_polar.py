@@ -11,7 +11,6 @@ from genoweave.polar import (
     PolarCode,
     design_polar_code,
     equivocation_stats,
-    genie_posteriors,
     make_polar_code,
     polar_transform,
     read_equivocations_csv,
@@ -19,6 +18,7 @@ from genoweave.polar import (
     select_info_set,
     write_equivocations_csv,
 )
+from sc_oracle import genie_posteriors
 
 
 def _h2(x):

@@ -78,20 +78,19 @@ def test_decode_matches_oracle(n, B):
             _check_oracle(lam, code)
 
 
-@pytest.mark.parametrize("B", [1, 7, 256])
-@pytest.mark.parametrize("n", SIZES)
+# up to n=256 at three widths, and past it where the butterfly switches to
+# [offset][node][sample] order at levels 4, 5 and 6 and permutes back
+@pytest.mark.parametrize("n, B", [(n, B) for n in SIZES for B in (1, 7, 256)]
+                         + [(n, B) for n in (512, 1024, 4096) for B in (1, 7)])
 def test_genie_leaf_llrs_match_oracle(n, B):
     # the level-by-level butterfly against the successive decoder's leaves
     rng = np.random.default_rng(2000 * n + B)
+    forced = np.zeros((B, n), np.uint8)
     for lam in _llr_batches(n, B, rng):
-        for forced in (np.zeros((B, n), np.uint8), rng.integers(0, 2, (B, n), dtype=np.uint8)):
-            want = np.empty((B, n))
-            sc_oracle._sc_batch(lam.copy(), None, forced=forced, leaf_llrs=want)
-            leaf = polar._genie_leaf_llrs(lam.T.copy(), np.ascontiguousarray(forced.T))
-            _same(np.ascontiguousarray(leaf.T), want)
-            if not forced.any():
-                leaf = polar._genie_leaf_llrs(lam.T.copy(), None)
-                _same(np.ascontiguousarray(leaf.T), want)
+        want = np.empty((B, n))
+        sc_oracle._sc_batch(lam.copy(), None, forced=forced, leaf_llrs=want)
+        leaf = polar._genie_leaf_llrs(lam.T.copy())
+        _same(np.ascontiguousarray(leaf.T), want)
 
 
 @pytest.mark.parametrize("kind, delta, mode", [("deletion", 0.01, "push"),
@@ -144,6 +143,16 @@ def test_equivocation_stats_match_oracle_at_n4096(batch_size):
     # the production shape; the default chunk holds blocks of 32 and 8 samples,
     # which run on threads, and chunks of 7 run inline
     _match_oracle(4096, 0.01, 40, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("delta", [0.11, 0.3, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 1024])
+def test_equivocation_stats_match_oracle_across_table_and_switch(n, delta, batch_size):
+    # the first min(3, log2 n) levels come from a table of every sign
+    # pattern, all of the table when n <= 8; the rest run in natural order
+    # up to level log2(n) // 2 and in [offset][node][sample] order after it
+    _match_oracle(n, delta, 40, batch_size)
 
 
 def test_threaded_construction_matches_oracle_under_stress(monkeypatch):
