@@ -32,10 +32,6 @@ __all__ = [
     "insert_pool",
     "delete_pool_coincident",
     "apply_channel_pool",
-    "pool_to_text",
-    "pool_from_text",
-    "dna_pool_to_text",
-    "dna_pool_from_text",
 ]
 
 ERASURE = 2
@@ -196,57 +192,3 @@ def apply_channel_pool(pool, spec: ChannelSpec, rng: np.random.Generator
         return delete_pool(pool, spec.delta, rng)
     return insert_pool(pool, spec.delta, rng)
 
-
-# ---------------------------------------------------------------------------
-# text serialization
-
-_BIT_CHARS = {0: "0", 1: "1", ERASURE: "?"}
-_CHAR_BITS = {"0": 0, "1": 1, "?": ERASURE}
-
-
-def pool_to_text(matrix) -> str:
-    """One strand per line; symbols as 0, 1, or ? for erasure."""
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValueError("expected a (strands, length) matrix")
-    if m.size and not np.isin(m, (0, 1, ERASURE)).all():
-        raise ValueError("matrix entries must be 0, 1, or ERASURE")
-    return "\n".join("".join(_BIT_CHARS[v] for v in row) for row in m) + "\n"
-
-
-def pool_from_text(text: str) -> np.ndarray:
-    """Inverse of pool_to_text; all lines must have equal length."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("no strands found")
-    widths = {len(ln) for ln in lines}
-    if len(widths) != 1:
-        raise ValueError(f"ragged strand lengths: {sorted(widths)}")
-    try:
-        rows = [[_CHAR_BITS[c] for c in ln] for ln in lines]
-    except KeyError as exc:
-        raise ValueError(f"invalid symbol {exc.args[0]!r}") from None
-    return np.asarray(rows, dtype=np.uint8)
-
-
-def dna_pool_to_text(strands) -> str:
-    """One ACGT strand per line."""
-    out = []
-    for s in strands:
-        if any(c not in _REAL for c in s):
-            raise ValueError(f"strand contains non-ACGT letters: {s[:8]!r}")
-        out.append(str(s))
-    if not out:
-        raise ValueError("no strands given")
-    return "\n".join(out) + "\n"
-
-
-def dna_pool_from_text(text: str) -> list[str]:
-    """Inverse of dna_pool_to_text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("no strands found")
-    for ln in lines:
-        if any(c not in _REAL for c in ln):
-            raise ValueError(f"strand contains non-ACGT letters: {ln[:8]!r}")
-    return lines

@@ -21,7 +21,7 @@ from . import rates as rates_mod
 from . import sim
 from .polar import make_polar_code, read_equivocations_csv, write_equivocations_csv
 from .rates import RateFamily, capacity, concat_envelope, concat_rate
-from .sim import ExperimentConfig, derive_seed
+from .sim import ExperimentConfig
 
 DEFAULT_DELTAS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
 
@@ -64,16 +64,14 @@ def _write(out: str | None, text: str) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     delta = parse_delta(args.delta)
-    seed = derive_seed(args.seed, "construct", args.n, delta)
-    stats = sim.run_construction_sweep(ExperimentConfig(
+    point, = sim.run_construction_sweep(ExperimentConfig(
         n=args.n, delta_list=(delta,), construction_samples=args.samples,
         master_seed=args.seed))
-    point = stats[0]
     buf = io.StringIO()
     write_equivocations_csv(buf, point.equivocations, meta={
         "seed": args.seed, "n": args.n, "delta": repr(delta),
         "samples": args.samples, "code_rate": repr(point.code_rate),
-        "construction_seed": seed,
+        "construction_seed": point.construction_seed,
     })
     _write(args.out, buf.getvalue())
     return 0

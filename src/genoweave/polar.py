@@ -17,7 +17,7 @@ over every pattern of BSC channel signs.
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import math
 import os
 import threading
@@ -473,13 +473,6 @@ class EquivocationStats:
     samples: int
 
 
-def _default_batch(n: int, samples: int) -> int:
-    # ~4M floats per chunk: all blocks of a chunk are in flight at once, so
-    # this bounds the memory their h results hold; results are batch-size
-    # invariant regardless.
-    return max(1, min(samples, (1 << 22) // max(n, 1)))
-
-
 # Construction runs in blocks of about this many floats (32 samples at
 # n=4096), so that a block's buffers stay in a core's L2 cache.
 _BLOCK_FLOATS = 1 << 17
@@ -525,15 +518,39 @@ def _genie_block(n: int, delta: float, seed: int, table: np.ndarray, work: threa
     return _h2_of_llr(h, leaves.reshape(c, n), sd.reshape(c, n))
 
 
-def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
-                       batch_size: int | None = None) -> EquivocationStats:
+def _in_order(genie, samples: int, block: int):
+    # genie(start, count) of each block of samples, in index order.  Several
+    # blocks run on one thread per CPU, through a window that submits at
+    # most 2 x workers blocks ahead of the one the caller is summing: the
+    # results waiting to be summed stay bounded, and the workers stay busy
+    # while the caller sums.  A single block runs inline.
+    if samples <= block:
+        yield genie(0, samples)
+        return
+    # imported here: concurrent.futures pulls in logging, ~5 ms that
+    # every import of this module would pay otherwise
+    from concurrent.futures import ThreadPoolExecutor
+    workers = _workers()
+    with ThreadPoolExecutor(workers) as pool:
+        ahead = collections.deque()
+        for start in range(0, samples, block):
+            ahead.append(pool.submit(genie, start, min(block, samples - start)))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
+def equivocation_stats(n: int, delta: float, samples: int = 1000,
+                       seed: int = 0) -> EquivocationStats:
     """Estimate all n bit-channel equivocations for the BSC(delta) design.
 
     Sends the all-zero codeword through samples independent BSC draws and
     averages h2 of the genie-aided posteriors.  Sample sigma draws its
-    noise from an RNG stream keyed by (seed, sigma), and the sums run
-    sample by sample in index order, so the result is bit-identical however
-    the work is batched, blocked or spread over threads.
+    noise from an RNG stream keyed by (seed, sigma).  Samples run in
+    cache-sized blocks spread over threads, and the sums run sample by
+    sample in index order on the calling thread, so the result is
+    bit-identical whatever the block size or worker count.
     """
     if not _is_pow2(n):
         raise ValueError(f"block length must be a power of two, got {n}")
@@ -541,38 +558,21 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000, seed: int = 0,
         raise ValueError(f"design crossover must lie in [0, 1/2], got {delta}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    chunk = batch_size if batch_size is not None else _default_batch(n, samples)
-    if chunk < 1:
-        raise ValueError(f"batch size must be positive, got {chunk}")
     if delta == 0.0:
         return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
 
-    block = max(1, _BLOCK_FLOATS // n)
     table = _genie_table(n, math.log((1.0 - delta) / delta))
     genie = partial(_genie_block, n, delta, seed, table, threading.local())
     eq_sum = np.zeros(n, dtype=np.float64)
     tot_sum = 0.0
     tot_sq = 0.0
-    pool = contextlib.nullcontext()
-    if min(chunk, samples) > block:
-        # imported here: concurrent.futures pulls in logging, ~5 ms that
-        # every import of this module would pay otherwise
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(_workers())
-    with pool:
-        for start in range(0, samples, chunk):
-            stop = min(start + chunk, samples)
-            starts = range(start, stop, block)
-            sizes = [min(block, stop - s) for s in starts]
-            run = map if len(starts) == 1 else pool.map  # a single block runs inline
-            for h in run(genie, starts, sizes):
-                # accumulate sample by sample so the result cannot depend on
-                # chunks, blocks or threads
-                for row in h:
-                    eq_sum += row
-                    t = float(row.sum())
-                    tot_sum += t
-                    tot_sq += t * t
+    for h in _in_order(genie, samples, max(1, _BLOCK_FLOATS // n)):
+        # sample by sample, so the sums cannot depend on blocks or threads
+        for row in h:
+            eq_sum += row
+            t = float(row.sum())
+            tot_sum += t
+            tot_sq += t * t
     eq = np.clip(eq_sum / samples, 0.0, 1.0)
     mean = tot_sum / samples
     var = max(0.0, tot_sq / samples - mean * mean)

@@ -3,10 +3,9 @@
 Every random quantity hangs off the master seed through named derivation:
 the construction for (n, delta) uses seed derive(master, "construct", n,
 delta); pool i of a cell uses stream (derive(master, "pools", kind, n,
-delta), i).  Work is batched across pools purely for vector width, so
-failure counts are bit-identical whatever the batch size; the
-GENOWEAVE_POOL_BATCH environment variable caps how many pools decode in
-lock step at once.
+delta), i).  Pools decode in lock step in batches as wide as a memory
+rule allows, purely for vector width, so failure counts are bit-identical
+whatever the batch size.
 
 Progress goes to stderr; all data products are returned (or formatted as
 CSV) for the caller to write.
@@ -14,7 +13,6 @@ CSV) for the caller to write.
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
 import time
@@ -38,7 +36,6 @@ __all__ = [
     "equivocation_histogram",
     "semilog_floor",
     "results_to_csv",
-    "construction_to_csv",
 ]
 
 STRAND_LENGTH = 256
@@ -100,14 +97,11 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ConstructionPoint:
-    """Constructed-code summary for one (n, delta)."""
+    """Constructed code for one delta, with the seed its construction drew from."""
 
-    n: int
     delta: float
-    samples: int
-    seed: int
+    construction_seed: int
     code_rate: float
-    k: int
     equivocations: np.ndarray = field(repr=False)
 
 
@@ -132,10 +126,11 @@ def _progress(msg: str) -> None:
     print(f"[genoweave] {msg}", file=sys.stderr, flush=True)
 
 
-def _construct(config: ExperimentConfig, delta: float) -> PolarCode:
+def _construct(config: ExperimentConfig, delta: float) -> tuple[PolarCode, int]:
+    # the code for delta and the construction seed it was built from
     cseed = derive_seed(config.master_seed, "construct", config.n, delta)
     return design_polar_code(config.n, delta, samples=config.construction_samples,
-                             seed=cseed, threshold=config.threshold())
+                             seed=cseed, threshold=config.threshold()), cseed
 
 
 def run_construction_sweep(config: ExperimentConfig) -> list[ConstructionPoint]:
@@ -143,23 +138,16 @@ def run_construction_sweep(config: ExperimentConfig) -> list[ConstructionPoint]:
     points = []
     for delta in config.delta_list:
         t0 = time.perf_counter()
-        code = _construct(config, delta)
-        points.append(ConstructionPoint(
-            n=config.n, delta=delta, samples=config.construction_samples,
-            seed=config.master_seed, code_rate=code.rate, k=code.k,
-            equivocations=code.equivocations))
+        code, cseed = _construct(config, delta)
+        points.append(ConstructionPoint(delta=delta, construction_seed=cseed,
+                                        code_rate=code.rate, equivocations=code.equivocations))
         _progress(f"construct n={config.n} delta={delta:g} samples={config.construction_samples} "
                   f"rate={code.rate:.4f} ({time.perf_counter() - t0:.1f}s)")
     return points
 
 
 def _pool_batch_size(n: int, width: int, pools: int) -> int:
-    env = os.environ.get("GENOWEAVE_POOL_BATCH")
-    if env:
-        size = int(env)
-        if size < 1:
-            raise ValueError(f"GENOWEAVE_POOL_BATCH must be positive, got {env}")
-        return min(size, pools)
+    # pools that decode in lock step: about 64 MB of observations per component
     return max(1, min(pools, (1 << 26) // max(n * width, 1)))
 
 
@@ -192,7 +180,7 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
     width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
     results = []
     for delta in config.delta_list:
-        code = codes[delta] if codes and delta in codes else _construct(config, delta)
+        code = codes[delta] if codes and delta in codes else _construct(config, delta)[0]
         cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
         t0 = time.perf_counter()
         failed: list[int] = []
@@ -291,11 +279,3 @@ def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:
                      f"{r.failure_count},{float(r.code_rate)!r},{r.seed}")
     return "\n".join(lines) + "\n"
 
-
-def construction_to_csv(points: list[ConstructionPoint], master_seed: int) -> str:
-    """Constructed-rate table as CSV text."""
-    lines = [f"# seed={master_seed}", "n,delta,samples,code_rate,k,seed"]
-    for p in points:
-        lines.append(f"{p.n},{float(p.delta)!r},{p.samples},"
-                     f"{float(p.code_rate)!r},{p.k},{p.seed}")
-    return "\n".join(lines) + "\n"

@@ -13,12 +13,8 @@ from genoweave.channels import (
     bsc_pool,
     delete_pool,
     delete_pool_coincident,
-    dna_pool_from_text,
-    dna_pool_to_text,
     insert_pool,
     llr_table,
-    pool_from_text,
-    pool_to_text,
     quaternary_merge,
     quaternary_split,
 )
@@ -434,27 +430,3 @@ def test_received_strand_rejects_nonbinary():
         with pytest.raises(ValueError):
             channel(np.array([[0, 2]], dtype=np.uint8), 0.1, rng)
 
-
-def test_pool_text_roundtrip_with_erasures():
-    rng = np.random.default_rng(23)
-    pool = rng.integers(0, 2, size=(5, 12), dtype=np.uint8)
-    obs, _ = delete_pool(pool, 0.3, rng)
-    text = pool_to_text(obs)
-    assert set(text) <= {"0", "1", "?", "\n"}
-    back = pool_from_text(text)
-    assert (back == obs).all()
-
-
-def test_pool_text_rejects_ragged_and_bad_chars():
-    with pytest.raises(ValueError):
-        pool_from_text("01\n011\n")
-    with pytest.raises(ValueError):
-        pool_from_text("01\n0x\n")
-
-
-def test_dna_pool_text_roundtrip():
-    strands = ["ACGT", "TTAA", "CGCG"]
-    text = dna_pool_to_text(strands)
-    assert dna_pool_from_text(text) == strands
-    with pytest.raises(ValueError):
-        dna_pool_from_text("ACGT\nACGU\n")

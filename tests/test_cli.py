@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genoweave.cli import main, parse_delta
-from genoweave.polar import read_equivocations_csv
+from genoweave.polar import equivocation_stats, read_equivocations_csv
 
 
 def _run(capsys, *argv):
@@ -45,6 +45,16 @@ def test_construct_writes_equivocations(tmp_path, capsys):
     eq = read_equivocations_csv(str(out))
     assert eq.shape == (32,)
     assert eq.min() >= 0.0 and eq.max() <= 1.0
+
+
+def test_construct_records_the_seed_it_drew_from(tmp_path, capsys):
+    out = tmp_path / "eq.csv"
+    _run(capsys, "construct", "--n", "32", "--delta", "5%",
+         "--samples", "100", "--seed", "3", "--out", str(out))
+    meta = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
+                if line.startswith("# "))
+    stats = equivocation_stats(32, 0.05, samples=100, seed=int(meta["construction_seed"]))
+    assert stats.equivocations.tobytes() == read_equivocations_csv(str(out)).tobytes()
 
 
 def test_construct_percent_and_decimal_agree(tmp_path, capsys):

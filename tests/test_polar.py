@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from genoweave import polar
 from genoweave.polar import (
     PolarCode,
     design_polar_code,
@@ -273,18 +274,14 @@ def test_equivocation_delta_zero_is_exactly_zero():
     assert stats.total_mean == 0.0
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.05])
-def test_equivocation_rejects_nonpositive_batch_size(delta):
-    # validated before the delta = 0 shortcut, so both deltas refuse it
-    for batch_size in (0, -3):
-        with pytest.raises(ValueError, match="batch size"):
-            equivocation_stats(16, delta, samples=10, batch_size=batch_size)
-
-
-def test_equivocation_batch_size_cannot_change_results():
-    base = equivocation_stats(32, 0.03, samples=101, seed=6, batch_size=101)
+def test_equivocation_batch_size_cannot_change_results(monkeypatch):
+    # blocks of 101 samples run the whole call inline; smaller ones run on
+    # threads, and 1000 is one block again
+    monkeypatch.setattr(polar, "_BLOCK_FLOATS", 101 * 32)
+    base = equivocation_stats(32, 0.03, samples=101, seed=6)
     for bs in (1, 7, 32, 1000):
-        other = equivocation_stats(32, 0.03, samples=101, seed=6, batch_size=bs)
+        monkeypatch.setattr(polar, "_BLOCK_FLOATS", bs * 32)
+        other = equivocation_stats(32, 0.03, samples=101, seed=6)
         assert (other.equivocations == base.equivocations).all()
         assert other.total_mean == base.total_mean
         assert other.total_se == base.total_se

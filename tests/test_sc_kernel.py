@@ -11,6 +11,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -125,57 +126,104 @@ def _same_stats(got, want):
     assert got.total_se == want.total_se
 
 
-def _match_oracle(n, delta, samples, batch_size):
-    got = equivocation_stats(n, delta, samples=samples, seed=3, batch_size=batch_size)
-    want = sc_oracle.equivocation_stats(n, delta, samples=samples, seed=3,
-                                        batch_size=batch_size)
+def _match_oracle(monkeypatch, n, delta, samples, block, workers=None):
+    # block: samples per construction block, None for the default size
+    if block is not None:
+        monkeypatch.setattr(polar, "_BLOCK_FLOATS", block * n)
+    if workers is not None:
+        monkeypatch.setattr(polar, "_workers", lambda: workers)
+    got = equivocation_stats(n, delta, samples=samples, seed=3)
+    want = sc_oracle.equivocation_stats(n, delta, samples=samples, seed=3)
     _same_stats(got, want)
 
 
-@pytest.mark.parametrize("delta, samples, batch_size", [(0.05, 300, None), (0.01, 200, 64),
-                                                        (0.5, 50, 7)])
-def test_equivocation_stats_match_oracle(delta, samples, batch_size):
-    _match_oracle(64, delta, samples, batch_size)
+@pytest.mark.parametrize("delta, samples, block", [(0.05, 300, None), (0.01, 200, 64),
+                                                   (0.5, 50, 7)])
+def test_equivocation_stats_match_oracle(monkeypatch, delta, samples, block):
+    _match_oracle(monkeypatch, 64, delta, samples, block)
 
 
-@pytest.mark.parametrize("batch_size", [None, 7])
-def test_equivocation_stats_match_oracle_at_n4096(batch_size):
-    # the production shape; the default chunk holds blocks of 32 and 8 samples,
-    # which run on threads, and chunks of 7 run inline
-    _match_oracle(4096, 0.01, 40, batch_size)
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+def test_equivocation_stats_match_oracle_across_blocks_and_workers(monkeypatch, block, workers):
+    # one worker, or more workers than cores; the default block holds all
+    # 100 samples and runs inline
+    _match_oracle(monkeypatch, 64, 0.05, 100, block, workers)
 
 
-@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("block", [None, 7])
+def test_equivocation_stats_match_oracle_at_n4096(monkeypatch, block):
+    # the production shape: default blocks of 32 and 8 samples, or six
+    # blocks of 7 through the window, all on threads
+    _match_oracle(monkeypatch, 4096, 0.01, 40, block)
+
+
+@pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("delta", [0.11, 0.3, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 1024])
-def test_equivocation_stats_match_oracle_across_table_and_switch(n, delta, batch_size):
+def test_equivocation_stats_match_oracle_across_table_and_switch(monkeypatch, n, delta, block):
     # the first min(3, log2 n) levels come from a table of every sign
     # pattern, all of the table when n <= 8; the rest run in natural order
     # up to level log2(n) // 2 and in [offset][node][sample] order after it
-    _match_oracle(n, delta, 40, batch_size)
+    _match_oracle(monkeypatch, n, delta, 40, block)
+
+
+def _run_joined(fn):
+    # fn() on a thread of its own, so a hang fails the test instead of the run
+    got = []
+    worker = threading.Thread(target=lambda: got.append(fn()), daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "construction did not finish"
+    assert got, "construction raised"
+    return got[0]
 
 
 def test_threaded_construction_matches_oracle_under_stress(monkeypatch):
-    # more workers than cores, blocks of 3 samples and a thread switch every
-    # microsecond: a lost or reordered block would change the sums
+    # more workers than cores, blocks of a few samples and a thread switch
+    # every microsecond: a lost or reordered block would change the sums
     monkeypatch.setattr(polar, "_workers", lambda: 8)
-    monkeypatch.setattr(polar, "_BLOCK_FLOATS", 3 * 64)
-    want = sc_oracle.equivocation_stats(64, 0.05, samples=200, seed=11, batch_size=50)
-    got = []
+    want = sc_oracle.equivocation_stats(64, 0.05, samples=200, seed=11)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for batch_size in (None, 50, 7):
-            worker = threading.Thread(target=lambda bs=batch_size: got.append(
-                equivocation_stats(64, 0.05, samples=200, seed=11, batch_size=bs)), daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-            assert not worker.is_alive(), "construction did not finish"
+        for block in (3, 7, 50):
+            monkeypatch.setattr(polar, "_BLOCK_FLOATS", block * 64)
+            _same_stats(_run_joined(lambda: equivocation_stats(64, 0.05, samples=200, seed=11)),
+                        want)
     finally:
         sys.setswitchinterval(interval)
-    assert len(got) == 3
-    for stats in got:
-        _same_stats(stats, want)
+
+
+def test_construction_window_bounds_blocks_ahead_of_the_sums(monkeypatch):
+    # two workers, one-sample blocks and a caller that sums each block 5 ms
+    # late: no block may start more than 2 x workers blocks after the block
+    # being summed, however far the workers could otherwise run ahead
+    workers, samples = 2, 64
+    monkeypatch.setattr(polar, "_workers", lambda: workers)
+    monkeypatch.setattr(polar, "_BLOCK_FLOATS", 64)
+    genie_block = polar._genie_block
+    started, leads = [], []
+
+    class SlowRows:
+        # a block's rows, which equivocation_stats iterates to sum them
+        def __init__(self, start, rows):
+            self.start, self.rows = start, rows
+
+        def __iter__(self):
+            time.sleep(0.005)
+            leads.append(max(started) - self.start)
+            return iter(self.rows)
+
+    def traced(n, delta, seed, table, work, start, c):
+        started.append(start)
+        return SlowRows(start, genie_block(n, delta, seed, table, work, start, c))
+
+    monkeypatch.setattr(polar, "_genie_block", traced)
+    got = _run_joined(lambda: equivocation_stats(64, 0.05, samples=samples, seed=11))
+    assert len(leads) == samples
+    assert max(leads) <= 2 * workers, f"a block started {max(leads)} blocks ahead of the sums"
+    _same_stats(got, sc_oracle.equivocation_stats(64, 0.05, samples=samples, seed=11))
 
 
 def test_rate1_node_keeps_sc_tie_rule():
