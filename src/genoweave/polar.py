@@ -179,35 +179,38 @@ def design_polar_code(n: int, delta: float, samples: int = 1000, seed: int = 0,
 # genie butterfly runs right away.  Both evaluate every formula with the same
 # operations in the same order, so their decisions and LLRs are
 # bit-identical to a plain recursive SC decoder's.
+#
+# Partial sums are uint64 sign masks: bit 63 set for a 1, all bits clear for
+# a 0.  XOR of masks is XOR of bits, and XOR of a mask into a float64 negates
+# it exactly.
+
+_SIGN = np.uint64(1 << 63)
 
 
 def _boxplus(a, b, out, sd):
     # out = 0.5*(s - d) + log1p(exp(-s)) - log1p(exp(-d)), s = |a+b|, d = |a-b|,
     # in place; sd is scratch of shape (2,) + out.shape that holds s and d
-    # together, so each elementwise step on both is one call
+    # together, so each elementwise step on both is one call.  Setting the
+    # sign bit turns a+b and a-b into -s and -d in one pass, and
+    # (-d) - (-s) is s - d exactly in IEEE arithmetic.
     s, d = sd
-    return [(np.add, (a, b, s)), (np.subtract, (a, b, d)), (np.abs, (sd, sd)),
-            (np.subtract, (s, d, out)), (np.multiply, (out, 0.5, out)),
-            (np.negative, (sd, sd)), (np.exp, (sd, sd)), (np.log1p, (sd, sd)),
+    bits = sd.view(np.uint64)
+    return [(np.add, (a, b, s)), (np.subtract, (a, b, d)), (np.bitwise_or, (bits, _SIGN, bits)),
+            (np.subtract, (d, s, out)), (np.multiply, (out, 0.5, out)),
+            (np.exp, (sd, sd)), (np.log1p, (sd, sd)),
             (np.add, (out, s, out)), (np.subtract, (out, d, out))]
 
 
-# x << 63 with the uint64 loop named: a uint64 scalar shift count alone does
-# not pick it on numpy 1.x, whose value-based casting reads 63 as uint8
-_shift_u64 = partial(np.left_shift, dtype=np.uint64)
-
-
 def _gfun(a, b, x, out, sd):
-    # out = b - a where x is 1, b + a elsewhere; x None means all 0.  Flipping
-    # a's sign bit is an exact negation and b + (-a) is b - a in IEEE
-    # arithmetic, which avoids np.where's two full candidate arrays.
+    # out = b - a where the mask x is set, b + a elsewhere; x None means all
+    # 0.  XOR of the mask flips a's sign bit, an exact negation, and b + (-a)
+    # is b - a in IEEE arithmetic, which avoids np.where's two full candidate
+    # arrays.
     if x is None:
         return [(np.add, (b, a, out))]
     s = sd[0]
     bits = s.view(np.uint64)
-    return [(_shift_u64, (x, 63, bits)),
-            (np.bitwise_xor, (a.view(np.uint64), bits, bits)),
-            (np.add, (b, s, out))]
+    return [(np.bitwise_xor, (a.view(np.uint64), x, bits)), (np.add, (b, s, out))]
 
 
 def _boxplus_robust(a, b, out, sd):
@@ -258,15 +261,18 @@ class _SCPlan:
     The workspace is position-major, (positions, B): the two halves of a
     node's LLRs and a leaf's B decisions are then contiguous blocks.  lev[l]
     holds the LLRs of the node being visited at depth l, lev[0] the channel
-    LLRs, and sd[l] the f/g scratch for its children.  The builder walks the
-    tree once and appends every call of the walk to steps with its views
-    bound, so a run is one flat loop.  A subtree with no info position (rate
-    0) emits nothing: its u and x are 0 and its LLRs are never needed.
-    ones[j] counts the info positions before j, so ones[j0 + h] == ones[j0]
-    marks such a subtree.
+    LLRs, and sd[l] the f/g scratch for its children.  x holds the partial
+    sums as sign masks, and a leaf writes its decision, its LLR's sign bit,
+    straight into x.  The builder walks the tree once and appends every call
+    of the walk to steps with its views bound, so a run is one flat loop.  A
+    subtree with no info position (rate 0) emits nothing: its u and x are 0
+    and its LLRs are never needed.  ones[j] counts the info positions before
+    j, so ones[j0 + h] == ones[j0] marks such a subtree.  u is not written
+    during the run: x = uG and G is an involution, so after the run u_steps
+    turn a copy of x's bits into u in log2(n) XOR passes.
     """
 
-    __slots__ = ("key", "n", "lev", "sd", "u", "ub", "x", "ones", "f_steps", "g", "steps")
+    __slots__ = ("key", "n", "lev", "sd", "x", "u", "u_steps", "ones", "f_steps", "g", "steps")
 
     def __init__(self, key, frozen_mask: np.ndarray, B: int, robust: bool):
         n = frozen_mask.size
@@ -275,10 +281,10 @@ class _SCPlan:
         self.lev = [np.empty((n >> l, B)) for l in range(m + 1)]
         sd = np.empty(n * B)
         self.sd = [sd[:n * B >> l].reshape(2, n >> l + 1, B) for l in range(m)]
-        # frozen u bits are never written, so they stay 0 from here on
-        self.u = np.zeros((n, B), dtype=np.uint8)
-        self.ub = self.u.view(np.bool_)
-        self.x = np.empty((n, B), dtype=np.uint8)
+        self.x = np.empty((n, B), dtype=np.uint64)
+        self.u = np.empty((n, B), dtype=np.uint8)
+        self.u_steps = [(np.bitwise_xor, (v[:, 0], v[:, 1], v[:, 0]))
+                        for v in (self.u.reshape(n >> i, 2, B << i - 1) for i in range(m, 0, -1))]
         self.ones = np.concatenate(([0], np.cumsum(~frozen_mask))).tolist()
         f, self.g = _fg(robust)
         # every node at depth l runs f on the same views, so they share its steps
@@ -290,11 +296,11 @@ class _SCPlan:
 
     def _visit(self, l: int, j0: int) -> None:
         # emit the steps of the depth-l node whose first leaf is j0 and whose
-        # LLRs are in lev[l]; they write u and x of the subtree
+        # LLRs are in lev[l]; they write x of the subtree
         half = self.n >> l + 1
         if half == 0:  # a leaf
-            self.steps += [(np.less, (self.lev[l], 0.0, self.ub[j0:j0 + 1])),
-                           (np.copyto, (self.x[j0], self.u[j0]))]
+            self.steps.append((np.bitwise_and, (self.lev[l].view(np.uint64), _SIGN,
+                                                self.x[j0:j0 + 1])))
             return
         jm, j1 = j0 + half, j0 + 2 * half
         left = self.ones[jm] != self.ones[j0]
@@ -313,12 +319,19 @@ class _SCPlan:
                 self.steps.append((np.copyto, (x[j0:jm], x[jm:j1])))
 
     def run(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        np.copyto(self.lev[0], llrs.T)
+        # Adding +0.0 maps -0.0 to +0.0, which decides 0 as np.less(llr, 0)
+        # does.  f and g make no -0.0 from other inputs, so from here on a
+        # sign bit is a decision.
+        np.add(llrs.T, 0.0, out=self.lev[0])
         # a parent's XOR writes x slots of rate-0 subtrees, which no step resets
         self.x.fill(0)
         _run(self.steps)
-        # copies: the workspace is reused by the next run
-        return self.u.T.copy(), self.x.T.copy()
+        # fresh arrays, transposed to (B, n): the workspace is reused by the
+        # next run.  Read as int64, a set mask is negative.
+        x = np.less(self.x.view(np.int64), 0).view(np.uint8)
+        np.copyto(self.u, x)
+        _run(self.u_steps)
+        return self.u.copy().T, x.T
 
 
 # The most recent plan of each thread.  A pool decode calls the kernel at
@@ -332,7 +345,8 @@ def _sc_batch(llrs: np.ndarray, frozen_mask: np.ndarray) -> tuple[np.ndarray, np
 
     llrs is (B, n).  Frozen positions decode to 0 and data positions take
     the sign decision, with LLR == 0 decoding to 0.  Returns (u_hat, x_hat),
-    both (B, n) uint8 arrays of their own.
+    both (B, n) uint8: transposed views of position-major arrays of their
+    own.
     """
     B, robust = llrs.shape[0], _is_robust(llrs)
     key = (B, robust, frozen_mask.tobytes())

@@ -5,7 +5,8 @@ the construction for (n, delta) uses seed derive(master, "construct", n,
 delta); pool i of a cell uses stream (derive(master, "pools", kind, n,
 delta), i).  Pools decode in lock step in batches as wide as a memory
 rule allows, purely for vector width, so failure counts are bit-identical
-whatever the batch size.
+whatever the batch size.  A batch's observations are stored position-major,
+the order the decoder reads, so they reach it without a copy.
 
 Progress goes to stderr; all data products are returned (or formatted as
 CSV) for the caller to write.
@@ -187,15 +188,22 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
         batch = _pool_batch_size(config.n, width, config.pools)
         for start in range(0, config.pools, batch):
             count = min(batch, config.pools - start)
-            obs = np.empty((parts, count, config.n, width), dtype=np.uint8)
+            # position-major; each part reaches the decoder as a view
+            obs = np.empty((parts, width, count, config.n), dtype=np.uint8)
             truth = np.empty((parts, count, STRAND_LENGTH, code.k), dtype=np.uint8)
             for b in range(count):
                 rng = np.random.default_rng([cell_seed, start + b])
-                truth[:, b], obs[:, b] = _generate_pool(rng, code, kind, delta)
+                truth[:, b], pool_obs = _generate_pool(rng, code, kind, delta)
+                obs[:, :, b] = pool_obs.transpose(0, 2, 1)
             bad = np.zeros(count, dtype=bool)
             for part_obs, part_truth in zip(obs, truth):
-                res = decode_pool_batch(part_obs, code, mode, STRAND_LENGTH)
-                bad |= (res.info_bits != part_truth).any(axis=(1, 2))
+                info = decode_pool_batch(part_obs.transpose(1, 2, 0), code, mode,
+                                         STRAND_LENGTH).info_bits
+                # compared in place and freed before the next part decodes: a
+                # separate comparison, or two parts' results, would raise the
+                # memory peak by one more array of this size
+                bad |= np.not_equal(info, part_truth, out=info).any(axis=(1, 2))
+                del info
             failed.extend(int(start + i) for i in np.flatnonzero(bad))
             _progress(f"pools n={config.n} delta={delta:g} kind={kind} "
                       f"{start + count}/{config.pools} failures={len(failed)}")

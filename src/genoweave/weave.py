@@ -8,6 +8,10 @@ received symbols, advanced whenever the freshly re-encoded codeword
 disagrees with what that strand showed (push after deletions re-reads
 the symbol, pull after insertions skips past it).  An erasure never
 contradicts anything, so padding cannot move an offset.
+
+The decoder works position-major: it reads the observations as
+(width, pools, strands) and builds each position's LLRs straight in the SC
+kernel's (strands, pools) layout, so no array is transposed per position.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     obs is (W, n, width) over {0, 1, ERASURE}; rows beyond a strand's raw
     symbols must already be erasures.  All W pools run the same position
     schedule, so the whole batch moves through the polar decoder together.
+    The decoder reads obs position-major, as obs.transpose(2, 0, 1) made
+    contiguous: that is free for a (W, n, width) view of a (width, W, n)
+    buffer, as sim passes, and one copy for a C-contiguous obs.
 
     mode selects the offset rule: "push" re-reads a contradicted symbol
     (deletions), "pull" skips past it (insertions), "fixed" never moves
@@ -106,8 +113,10 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     if obs.size and (obs.min() < 0 or obs.max() > ERASURE):
         bad = obs[(obs < 0) | (obs > ERASURE)][0]
         raise ValueError(f"observation symbols must be 0, 1 or ERASURE ({ERASURE}), got {bad}")
-    obs = np.ascontiguousarray(obs, dtype=np.uint8)
     W, n, width = obs.shape
+    # An offset grows by at most 1 per position, so entering position p it
+    # lies in [0, p]: push reads index p - d in [0, p] and pull reads p + i in
+    # [p, 2p].  This check therefore keeps every read inside its strand.
     need = length if mode in ("push", "fixed") else 2 * length
     if width < need:
         raise ValueError(f"observation width {width} too small for {mode} over {length} positions")
@@ -117,28 +126,40 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     table = np.array([np.inf, -np.inf, 0.0]) if delta == 0.0 else llr_table(delta)
 
     step = 0 if mode == "fixed" else (-1 if mode == "push" else 1)
-    offsets = np.zeros((W, n), dtype=np.int64)
     info_out = np.empty((W, length, code.k), dtype=np.uint8)
     history = np.empty((W, length, n), dtype=np.int64) if trace else None
-    if W == 0:  # nothing to decode, and no offsets to take a minimum of
-        return BatchDecodeResult(info_bits=info_out, offsets=offsets, offset_history=history)
+    if W == 0:  # nothing to decode
+        return BatchDecodeResult(info_bits=info_out, offsets=np.zeros((0, n), dtype=np.int64),
+                                 offset_history=history)
 
-    # strand (w, s) starts at flat index (w n + s) width of the contiguous obs
-    flat = obs.reshape(-1)
-    row_base = np.arange(W * n, dtype=np.int64).reshape(W, n) * width
+    # Everything per position is (n, W), the kernel's layout.  Symbol p of
+    # strand (w, s) is at flat index p W n + w n + s of the position-major
+    # obs; at[s, w] is that index at p = 0, moved by the strand's offset.
+    flat = np.ascontiguousarray(obs.transpose(2, 0, 1), dtype=np.uint8).reshape(-1)
+    row = W * n
+    base = np.arange(row, dtype=np.int64).reshape(W, n).T
+    at = base.copy()
+    idx = np.empty((n, W), dtype=np.int64)
+    col = np.empty((n, W), dtype=np.uint8)
+    lam = np.empty((n, W))
+    info = np.empty((code.k, W), dtype=np.uint8)
+    moved = np.empty((n, W), dtype=bool)
+    shift = np.empty((n, W), dtype=np.int64)
+
+    def offsets() -> np.ndarray:  # (W, n): how many rows each strand's index moved
+        return ((at - base) // row * step).T
 
     for p in range(length):
         if trace:
-            history[:, p, :] = offsets
-        idx = p + step * offsets
-        # a flat gather would silently read a neighbouring strand
-        if idx.min() < 0 or idx.max() >= width:
-            raise RuntimeError(f"strand offset left the observation window at position {p}")
-        col = flat[row_base + idx]
-        lam = table[col]
-        u, x = sc_decode_batch(lam, code)
-        info_out[:, p, :] = u[:, code.info_set]
+            history[:, p, :] = offsets()
+        # every index is in range (see above), so mode="clip" only skips the
+        # bounds checks; on the uint8 symbols they cost 5x the lookup itself
+        np.take(flat, np.add(at, p * row, out=idx), out=col, mode="clip")
+        np.take(table, col, out=lam, mode="clip")
+        u, x = sc_decode_batch(lam.T, code)
+        info_out[:, p] = np.take(u.T, code.info_set, axis=0, out=info, mode="clip").T
         if step != 0:
-            offsets += (x != col) & (col != ERASURE)
-    return BatchDecodeResult(info_bits=info_out, offsets=offsets, offset_history=history)
-
+            # x differs from a received 0 or 1: x ^ col is 1 (2 or 3 on an erasure)
+            np.equal(np.bitwise_xor(x.T, col, out=col), 1, out=moved)
+            np.add(at, np.multiply(moved, step * row, out=shift), out=at)
+    return BatchDecodeResult(info_bits=info_out, offsets=offsets().copy(), offset_history=history)

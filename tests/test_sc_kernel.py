@@ -79,6 +79,62 @@ def test_decode_matches_oracle(n, B):
             _check_oracle(lam, code)
 
 
+def test_decode_matches_oracle_at_simulate_shape():
+    # the width and code simulate decodes at: 256 strands, 256 pools, a delta=1%
+    # design; once row by row and once as the (B, n) view of position-major
+    # LLRs that the pool decoder passes
+    code = design_polar_code(256, 0.01)
+    rng = np.random.default_rng(48)
+    lam = rng.choice([L0, -L0, 0.0], p=[0.97, 0.01, 0.02], size=(256, 256))
+    _check_oracle(lam, code)
+    _check_oracle(np.ascontiguousarray(lam.T).T, code)
+
+
+@pytest.mark.parametrize("B", [1, 7, 256])
+def test_negative_zero_llrs_decode_as_the_oracle(B):
+    # A leaf decides by its LLR's sign bit, which -0.0 has set, while the
+    # oracle decides np.less(llr, 0), which is False for -0.0.  The kernel
+    # maps -0.0 to +0.0 on the way in.
+    rng = np.random.default_rng(47 + B)
+    for code in _codes(64, rng):
+        for symbols in ([L0, -L0, 0.0, -0.0], [np.inf, -np.inf, 0.0, -0.0, L0]):
+            lam = rng.choice(symbols, size=(B, 64))
+            assert np.signbit(lam[lam == 0]).any()
+            _check_oracle(lam, code)
+    u, x = sc_decode_batch(np.full((B, 1), -0.0), _code_with_info(1, [0]))
+    assert not u.any() and not x.any()
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_f_and_g_make_no_negative_zero(robust):
+    # The sign-bit leaf is exact only if no -0.0 reaches it.  Channel LLRs are
+    # +-L0 and +0.0 (+-inf too under a noiseless design); f and g, applied
+    # level after level, must never make -0.0 from them.
+    f, g = polar._fg(robust)
+    seeds = np.array([L0, -L0, 0.0] + ([np.inf, -np.inf] if robust else []))
+    vals = seeds
+    rng = np.random.default_rng(46)
+    for _ in range(4):
+        a, b = (v.ravel() for v in np.meshgrid(vals, vals))
+        out, sd = np.empty((4, a.size)), np.empty((2, a.size))
+        polar._run(f(a, b, out[0], sd))
+        polar._run(g(a, b, None, out[1], sd))
+        for mask, row in ((np.uint64(0), out[2]), (polar._SIGN, out[3])):
+            polar._run(g(a, b, np.full(a.size, mask), row, sd))
+        assert not np.signbit(out[out == 0]).any()
+        # the next level's inputs: the seeds and a sample of this level's outputs
+        vals = np.unique(np.concatenate([seeds, rng.choice(out.ravel(), 40)]))
+
+
+def test_a_leaf_is_one_call_and_g_two():
+    # n=2 with both bits free: f, the left leaf, g, the right leaf and the
+    # XOR that combines x
+    plan = polar._SCPlan(None, np.zeros(2, bool), 1, False)
+    assert len(plan.f_steps[0]) == 9
+    assert [fn for fn, _ in plan.steps[9:]] == [np.bitwise_and, np.bitwise_xor, np.add,
+                                               np.bitwise_and, np.bitwise_xor]
+
+
 # up to n=256 at three widths, and past it where the butterfly switches to
 # [offset][node][sample] order at levels 4, 5 and 6 and permutes back
 @pytest.mark.parametrize("n, B", [(n, B) for n in SIZES for B in (1, 7, 256)]
@@ -302,15 +358,15 @@ def test_threads_decode_bit_identically_under_stress():
     assert mismatches == []
 
 
-def test_sign_flip_shift_runs_in_uint64():
-    # g flips a's sign bit with x << 63.  A uint8 shift loop turns 1 << 63
-    # into 0, and g would then add a where it must subtract it.
-    a, b, out = np.zeros((3, 4, 2))
-    x = np.array([[0, 1], [1, 0], [1, 1], [0, 0]], np.uint8)
-    fn, (xs, count, _) = polar._gfun(a, b, x, out, np.empty((2, 4, 2)))[0]
-    bits = fn(xs, count)
-    assert bits.dtype == np.uint64
-    assert bits.tolist() == (x.astype(np.uint64) << np.uint64(63)).tolist()
+def test_g_on_sign_masks_is_exact():
+    # partial sums are uint64 masks, bit 63 for a 1: g must give b - a where
+    # the mask is set and b + a elsewhere, byte for byte
+    rng = np.random.default_rng(45)
+    a, b = rng.choice([L0, -L0, 0.0, 2.5, -7.25, np.pi], size=(2, 6, 5))
+    bits = rng.integers(0, 2, size=(6, 5), dtype=np.uint64)
+    out, sd = np.empty((6, 5)), np.empty((2, 6, 5))
+    polar._run(polar._gfun(a, b, bits << np.uint64(63), out, sd))
+    _same(out, np.where(bits == 1, b - a, b + a))
 
 
 def test_a_new_plan_frees_the_previous_one():

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from genoweave.channels import ERASURE, bsc_pool, delete_pool, delete_pool_coincident
+from genoweave.channels import (
+    ERASURE,
+    bsc_pool,
+    delete_pool,
+    delete_pool_coincident,
+    insert_pool,
+)
 from genoweave.polar import design_polar_code, make_polar_code, polar_transform
 from genoweave.weave import Pool, decode_pool_batch, weave_encode
 
@@ -232,8 +238,53 @@ def test_offsets_nondecreasing_and_bounded():
     assert (hist <= np.arange(48)[:, None]).all()
 
 
+@pytest.mark.parametrize("mode, channel", [("push", delete_pool), ("pull", insert_pool)])
+def test_heavy_indels_keep_every_read_inside_its_strand(mode, channel):
+    # decode_pool_batch has no per-position window check: an offset grows by
+    # at most 1 per position, so entering position p it lies in [0, p], and
+    # push reads index p - d while pull reads p + i.  At 30% indels the
+    # offsets move often enough to meet that bound after the first position
+    code = design_polar_code(64, 0.05, samples=300, seed=15)
+    rng = np.random.default_rng(17)
+    ell = 64
+    obs = np.stack([channel(weave_encode(_random_info(rng, ell, code), code).strands, 0.3,
+                            rng)[0] for _ in range(3)])
+    hist = decode_pool_batch(obs, code, mode, ell, trace=True).offset_history
+    positions = np.arange(ell)[None, :, None]
+    assert (hist >= 0).all() and (hist <= positions).all()
+    assert (hist[:, 1:] == positions[:, 1:]).any()
+
+
 # ---------------------------------------------------------------------------
 # batch front end
+
+
+def _pools(rng, code, mode, W, ell):
+    # W pools' observations through the mode's channel, as one C-contiguous array
+    channel = {"push": lambda s: delete_pool(s, 0.05, rng),
+               "pull": lambda s: insert_pool(s, 0.05, rng),
+               "fixed": lambda s: bsc_pool(s, 0.02, rng)}[mode]
+    return np.stack([channel(weave_encode(_random_info(rng, ell, code), code).strands)[0]
+                     for _ in range(W)])
+
+
+@pytest.mark.parametrize("W", [1, 7, 64])
+@pytest.mark.parametrize("mode", ["push", "pull", "fixed"])
+def test_position_major_view_decodes_as_contiguous_input(mode, W):
+    # sim hands over a (W, n, width) view of a position-major (width, W, n)
+    # buffer; the decoder must read it exactly as it reads a C-contiguous copy
+    code = design_polar_code(32, 0.02, samples=200, seed=18)
+    rng = np.random.default_rng(100 + W)
+    ell = 24
+    obs = _pools(rng, code, mode, W, ell)
+    view = np.ascontiguousarray(obs.transpose(2, 0, 1)).transpose(1, 2, 0)
+    assert view.shape == obs.shape and not view.flags.c_contiguous
+    got = decode_pool_batch(view, code, mode, ell, trace=True)
+    want = decode_pool_batch(obs, code, mode, ell, trace=True)
+    for name in ("info_bits", "offsets", "offset_history"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_decode_pool_batch_matches_single_decodes():
