@@ -27,7 +27,6 @@ __all__ = [
     "llr_table",
     "quaternary_split",
     "quaternary_merge",
-    "bsc_pool",
     "delete_pool",
     "insert_pool",
     "delete_pool_coincident",

@@ -11,7 +11,6 @@ success, 2 on usage errors, 1 on an internal anomaly.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import rates as rates_mod
 from . import sim
-from .polar import make_polar_code, read_equivocations_csv, write_equivocations_csv
+from .polar import format_equivocations_csv, make_polar_code, read_equivocations_csv
 from .rates import RateFamily, capacity, concat_envelope, concat_rate
 from .sim import ExperimentConfig
 
@@ -67,13 +66,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     point, = sim.run_construction_sweep(ExperimentConfig(
         n=args.n, delta_list=(delta,), construction_samples=args.samples,
         master_seed=args.seed))
-    buf = io.StringIO()
-    write_equivocations_csv(buf, point.equivocations, meta={
+    _write(args.out, format_equivocations_csv(point.equivocations, {
         "seed": args.seed, "n": args.n, "delta": repr(delta),
         "samples": args.samples, "code_rate": repr(point.code_rate),
         "construction_seed": point.construction_seed,
-    })
-    _write(args.out, buf.getvalue())
+    }))
     return 0
 
 
@@ -95,12 +92,11 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_code(path: str, n: int, delta: float, threshold_scale: float):
+def _load_code(path: str, n: int, delta: float, threshold: float):
     eq = read_equivocations_csv(path)
     if eq.size != n:
         raise ValueError(f"--code file holds {eq.size} channels but --n is {n}")
-    return make_polar_code(n, delta, eq,
-                           threshold=threshold_scale / (sim.STRAND_LENGTH * n))
+    return make_polar_code(n, delta, eq, threshold=threshold)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -112,7 +108,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         threshold_scale=args.threshold_scale)
     codes = None
     if args.code is not None:
-        codes = {delta: _load_code(args.code, args.n, delta, args.threshold_scale)}
+        codes = {delta: _load_code(args.code, args.n, delta, config.threshold())}
     if args.errors == "quaternary":
         rows = sim.run_quaternary_pool_experiment(config, codes=codes)
     else:

@@ -23,7 +23,6 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from typing import IO
 
 import numpy as np
 
@@ -32,10 +31,9 @@ __all__ = [
     "polar_transform",
     "sc_decode_batch",
     "equivocation_stats",
-    "select_info_set",
     "make_polar_code",
     "design_polar_code",
-    "write_equivocations_csv",
+    "format_equivocations_csv",
     "read_equivocations_csv",
 ]
 
@@ -58,6 +56,18 @@ def _is_binary(a: np.ndarray) -> bool:
 # transform
 
 
+def _xor_stages(v: np.ndarray) -> None:
+    # the transform of each column of v, a C-contiguous (n, cols) uint8 array
+    # of bits, in place; position-major, each stage XORs contiguous blocks of
+    # half * cols bits instead of many tiny row slices
+    n, cols = v.shape
+    h = n
+    while h > 1:
+        w = v.reshape(n // h, 2, h // 2 * cols)
+        w[:, 0] ^= w[:, 1]
+        h //= 2
+
+
 def polar_transform(u) -> np.ndarray:
     """Apply the polar transform x = u F^{(x)m} over GF(2).
 
@@ -72,30 +82,13 @@ def polar_transform(u) -> np.ndarray:
         raise ValueError(f"length must be a power of two, got {n}")
     if not _is_binary(u):
         raise ValueError("input must be binary")
-    # butterfly on a position-major copy: each stage XORs contiguous blocks
-    # of half * rows bits instead of many tiny row slices
-    rows = u.reshape(-1, n)
-    xt = np.array(rows.T, dtype=np.uint8, order="C")
-    h = n
-    while h > 1:
-        v = xt.reshape(n // h, 2, h // 2 * rows.shape[0])
-        v[:, 0] ^= v[:, 1]
-        h //= 2
+    xt = np.array(u.reshape(-1, n).T, dtype=np.uint8, order="C")
+    _xor_stages(xt)
     return np.ascontiguousarray(xt.T).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
 # code objects
-
-
-def select_info_set(equivocations, threshold: float) -> np.ndarray:
-    """Indices whose estimated equivocation is strictly below threshold, sorted."""
-    eq = np.asarray(equivocations, dtype=np.float64)
-    if eq.ndim != 1:
-        raise ValueError("equivocations must be a vector")
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return np.flatnonzero(eq < threshold).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +149,10 @@ def make_polar_code(n: int, design_delta: float, equivocations,
     eq = np.asarray(equivocations, dtype=np.float64)
     if threshold is None:
         threshold = 1.0 / (256.0 * n)
-    info = select_info_set(eq, threshold)
-    return PolarCode(n=n, design_delta=design_delta, equivocations=eq, info_set=info)
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    return PolarCode(n=n, design_delta=design_delta, equivocations=eq,
+                     info_set=np.flatnonzero(eq < threshold))
 
 
 def design_polar_code(n: int, delta: float, samples: int = 1000, seed: int = 0,
@@ -268,11 +263,11 @@ class _SCPlan:
     subtree with no info position (rate 0) emits nothing: its u and x are 0
     and its LLRs are never needed.  ones[j] counts the info positions before
     j, so ones[j0 + h] == ones[j0] marks such a subtree.  u is not written
-    during the run: x = uG and G is an involution, so after the run u_steps
-    turn a copy of x's bits into u in log2(n) XOR passes.
+    during the run: x = uG and G is an involution, so after the run
+    _xor_stages turns a copy of x's bits into u.
     """
 
-    __slots__ = ("key", "n", "lev", "sd", "x", "u", "u_steps", "ones", "f_steps", "g", "steps")
+    __slots__ = ("key", "n", "lev", "sd", "x", "ones", "f_steps", "g", "steps")
 
     def __init__(self, key, frozen_mask: np.ndarray, B: int, robust: bool):
         n = frozen_mask.size
@@ -282,9 +277,6 @@ class _SCPlan:
         sd = np.empty(n * B)
         self.sd = [sd[:n * B >> l].reshape(2, n >> l + 1, B) for l in range(m)]
         self.x = np.empty((n, B), dtype=np.uint64)
-        self.u = np.empty((n, B), dtype=np.uint8)
-        self.u_steps = [(np.bitwise_xor, (v[:, 0], v[:, 1], v[:, 0]))
-                        for v in (self.u.reshape(n >> i, 2, B << i - 1) for i in range(m, 0, -1))]
         self.ones = np.concatenate(([0], np.cumsum(~frozen_mask))).tolist()
         f, self.g = _fg(robust)
         # every node at depth l runs f on the same views, so they share its steps
@@ -329,9 +321,9 @@ class _SCPlan:
         # fresh arrays, transposed to (B, n): the workspace is reused by the
         # next run.  Read as int64, a set mask is negative.
         x = np.less(self.x.view(np.int64), 0).view(np.uint8)
-        np.copyto(self.u, x)
-        _run(self.u_steps)
-        return self.u.copy().T, x.T
+        u = x.copy()
+        _xor_stages(u)
+        return u.T, x.T
 
 
 # The most recent plan of each thread.  A pool decode calls the kernel at
@@ -340,54 +332,45 @@ class _SCPlan:
 _plans = threading.local()
 
 
-def _sc_batch(llrs: np.ndarray, frozen_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run B successive-cancellation decoders in lock step.
+def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
+    """Decode B codeword observations at once; rows are independent decoders.
 
     llrs is (B, n).  Frozen positions decode to 0 and data positions take
     the sign decision, with LLR == 0 decoding to 0.  Returns (u_hat, x_hat),
     both (B, n) uint8: transposed views of position-major arrays of their
-    own.
-    """
-    B, robust = llrs.shape[0], _is_robust(llrs)
-    key = (B, robust, frozen_mask.tobytes())
-    plan = getattr(_plans, "plan", None)
-    if plan is None or plan.key != key:
-        plan = _plans.plan = None  # free the old workspace before building the next
-        plan = _plans.plan = _SCPlan(key, frozen_mask, B, robust)
-    return plan.run(llrs)
-
-
-def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
-    """Decode B codeword observations at once; rows are independent decoders.
-
-    Returns (u_hat, x_hat) as (B, n) arrays; x_hat is the re-encoded
-    codeword estimate polar_transform(u_hat), produced for free by the
-    decoder's partial sums.
+    own.  x_hat is the re-encoded codeword estimate polar_transform(u_hat),
+    produced for free by the decoder's partial sums.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ValueError(f"expected LLR shape (B, {code.n}), got {llrs.shape}")
-    return _sc_batch(llrs, code.frozen_mask)
+    B, robust = llrs.shape[0], _is_robust(llrs)
+    key = (B, robust, code.frozen_mask.tobytes())
+    plan = getattr(_plans, "plan", None)
+    if plan is None or plan.key != key:
+        plan = _plans.plan = None  # free the old workspace before building the next
+        plan = _plans.plan = _SCPlan(key, code.frozen_mask, B, robust)
+    return plan.run(llrs)
 
 
 # ---------------------------------------------------------------------------
 # genie-aided Monte-Carlo construction
 
 
-def _butterfly(cur: np.ndarray, nxt: np.ndarray, sd: np.ndarray, start: int, f, g):
+def _butterfly(cur: np.ndarray, nxt: np.ndarray, sd: np.ndarray, start: int):
     """Run levels start .. log2(n) - 1 of the genie butterfly on B samples.
 
-    With every decision forced to 0, every partial sum is 0, so level l + 1's
-    LLRs depend on level l's alone and each level applies f and g to all of
-    its nodes at once.  cur (n, B) holds level start's LLRs in natural order,
-    [node][offset][sample]; nxt (n, B) and sd (n * B) are scratch.  From
-    level switch = max(start, log2(n) // 2) on, the levels run on the order
-    [offset][node][sample]: every node's a and b halves are then the two
-    halves of the buffer, and level l writes f and g in runs of 2^l * B
-    floats instead of natural order's (n >> l + 1) * B, which shrink to B
-    at the leaves.  Each of those levels puts the child bit above the node
-    index; _to_natural undoes that.  Returns (leaves, spare, switch), where
-    leaves and spare are cur and nxt in some order.
+    With every decision forced to 0, every partial sum is 0, so level
+    l + 1's LLRs depend on level l's alone and each level applies the finite
+    f and g to all of its nodes at once.  cur (n, B) holds level start's LLRs
+    in natural order, [node][offset][sample]; nxt (n, B) and sd (n * B) are
+    scratch.  From level switch = max(start, log2(n) // 2) on, the levels
+    run on the order [offset][node][sample]: every node's a and b halves are
+    then the two halves of the buffer, and level l writes f and g in runs of
+    2^l * B floats instead of natural order's (n >> l + 1) * B, which shrink
+    to B at the leaves.  Each of those levels puts the child bit above the
+    node index; _to_natural undoes that.  Returns (leaves, spare, switch),
+    where leaves and spare are cur and nxt in some order.
     """
     n, B = cur.shape
     m = n.bit_length() - 1
@@ -405,8 +388,8 @@ def _butterfly(cur: np.ndarray, nxt: np.ndarray, sd: np.ndarray, start: int, f, 
             a, b = cur.reshape(2, half, B << l)
             kids = nxt.reshape(half, 2, B << l).transpose(1, 0, 2)
         sdl = sd.reshape((2,) + a.shape)
-        _run(f(a, b, kids[0], sdl))
-        _run(g(a, b, None, kids[1], sdl))
+        _run(_boxplus(a, b, kids[0], sdl))
+        _run(_gfun(a, b, None, kids[1], sdl))
         cur, nxt = nxt, cur
     return cur, nxt, switch
 
@@ -430,15 +413,14 @@ def _to_natural(leaves: np.ndarray, dest: np.ndarray, switch: int) -> np.ndarray
 def _genie_leaf_llrs(lam: np.ndarray) -> np.ndarray:
     """Decision-point LLRs of B genie-aided SC decoders, (n, B).
 
-    lam is the (n, B) position-major channel LLRs and is overwritten.  Every
-    decision is forced to 0, the bit construction sends.  f and g are the SC
-    kernel's, with the same operations in the same order, so each leaf LLR
-    is byte-equal to the one a successive decoder holds at that leaf's
-    decision.
+    lam is the (n, B) position-major channel LLRs, all finite, and is
+    overwritten.  Every decision is forced to 0, the bit construction
+    sends.  f and g are the SC kernel's finite ones, with the same
+    operations in the same order, so each leaf LLR is byte-equal to the one
+    a successive decoder holds at that leaf's decision.
     """
     n, B = lam.shape
-    f, g = _fg(_is_robust(lam))
-    leaves, spare, switch = _butterfly(lam, np.empty_like(lam), np.empty(n * B), 0, f, g)
+    leaves, spare, switch = _butterfly(lam, np.empty_like(lam), np.empty(n * B), 0)
     return _to_natural(leaves, spare, switch)
 
 
@@ -526,7 +508,7 @@ def _genie_block(n: int, delta: float, seed: int, table: np.ndarray, work: threa
     for level, llrs in zip(cur.reshape(1 << d, n >> d, c), table):
         np.take(llrs, pattern, out=level, mode="clip")
     # the noise rows are spent: they serve as the second level buffer
-    leaves, _, switch = _butterfly(cur, rows.reshape(n, c), sd, d, _boxplus, _gfun)
+    leaves, _, switch = _butterfly(cur, rows.reshape(n, c), sd, d)
     h = np.empty((c, n))
     _to_natural(leaves, h.T, switch)
     return _h2_of_llr(h, leaves.reshape(c, n), sd.reshape(c, n))
@@ -598,31 +580,19 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000,
 # serialization
 
 
-def write_equivocations_csv(dest: str | IO[str], equivocations,
-                            meta: dict | None = None) -> None:
-    """Write an equivocation vector as CSV with '# key=value' provenance lines."""
+def format_equivocations_csv(equivocations, meta: dict) -> str:
+    """An equivocation vector as CSV text with '# key=value' provenance lines."""
     eq = np.asarray(equivocations, dtype=np.float64)
-    lines = []
-    for key, val in (meta or {}).items():
-        lines.append(f"# {key}={val}")
+    lines = [f"# {key}={val}" for key, val in meta.items()]
     lines.append("index,equivocation")
-    for i, v in enumerate(eq):
-        lines.append(f"{i},{float(v)!r}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, str):
-        with open(dest, "w") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    lines += [f"{i},{float(v)!r}" for i, v in enumerate(eq)]
+    return "\n".join(lines) + "\n"
 
 
-def read_equivocations_csv(src: str | IO[str]) -> np.ndarray:
-    """Read back an equivocation vector written by write_equivocations_csv."""
-    if isinstance(src, str):
-        with open(src) as fh:
-            text = fh.read()
-    else:
-        text = src.read()
+def read_equivocations_csv(path: str) -> np.ndarray:
+    """Read back an equivocation vector written from format_equivocations_csv."""
+    with open(path) as fh:
+        text = fh.read()
     values: list[float] = []
     for line in text.splitlines():
         line = line.strip()

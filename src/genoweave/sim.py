@@ -33,7 +33,6 @@ __all__ = [
     "run_construction_sweep",
     "run_pool_experiment",
     "run_quaternary_pool_experiment",
-    "replay_pool",
     "equivocation_histogram",
     "semilog_floor",
     "results_to_csv",
@@ -272,11 +271,12 @@ def equivocation_histogram(equivocations) -> np.ndarray:
     return np.column_stack((frac, srt))
 
 
-def semilog_floor(values, floor: float = 1e-300) -> np.ndarray:
+_SEMILOG_FLOOR = 1e-300
+
+
+def semilog_floor(values) -> np.ndarray:
     """Clamp values from below so they survive a log-scale axis."""
-    if not floor > 0.0:
-        raise ValueError("floor must be positive")
-    return np.maximum(np.asarray(values, dtype=np.float64), floor)
+    return np.maximum(np.asarray(values, dtype=np.float64), _SEMILOG_FLOOR)
 
 
 def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:

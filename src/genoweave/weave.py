@@ -24,7 +24,6 @@ from .channels import ERASURE, llr_table
 from .polar import PolarCode, _is_binary, polar_transform, sc_decode_batch
 
 __all__ = [
-    "Pool",
     "weave_encode",
     "decode_pool_batch",
 ]
@@ -47,14 +46,6 @@ class Pool:
         s = s.astype(np.uint8)  # a copy, so freezing it leaves the caller's array alone
         s.setflags(write=False)
         object.__setattr__(self, "strands", s)
-
-    @property
-    def n(self) -> int:
-        return int(self.strands.shape[0])
-
-    @property
-    def length(self) -> int:
-        return int(self.strands.shape[1])
 
 
 @dataclass(frozen=True)
@@ -110,9 +101,14 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     obs = np.asarray(obs)
     if obs.ndim != 3 or obs.shape[1] != code.n:
         raise ValueError(f"expected obs shape (W, {code.n}, width), got {obs.shape}")
-    if obs.size and (obs.min() < 0 or obs.max() > ERASURE):
-        bad = obs[(obs < 0) | (obs > ERASURE)][0]
-        raise ValueError(f"observation symbols must be 0, 1 or ERASURE ({ERASURE}), got {bad}")
+    # on the raw array, as polar._is_binary checks bits: the uint8 cast below
+    # maps 0.5 to 0 and 1.5 to 1.  Unsigned symbols need only max(), which
+    # allocates nothing.
+    if not (obs.dtype.kind in "bu" and (obs.size == 0 or obs.max() <= ERASURE)):
+        ok = (obs == 0) | (obs == 1) | (obs == ERASURE)
+        if not ok.all():
+            raise ValueError(f"observation symbols must be 0, 1 or ERASURE ({ERASURE}), "
+                             f"got {obs[~ok][0]}")
     W, n, width = obs.shape
     # An offset grows by at most 1 per position, so entering position p it
     # lies in [0, p]: push reads index p - d in [0, p] and pull reads p + i in

@@ -1,10 +1,12 @@
 """Public surface: every name a module exports has a caller, and no knobs.
 
-A name in a module's __all__ must resolve and be referenced by cli.py, by
-another genoweave module, or by a test.  When the last caller of a public
-name goes away, this test fails until the name is deleted or made private.
-No module reads the environment: a setting the code cannot work out for
-itself belongs in the command line.
+A name in a module's __all__ must resolve and be referenced by another
+genoweave module (cli.py among them), by a bench/*.py script or by the
+acceptance gate, tests/test_acceptance.py.  Unit tests do not count: a name
+only they use stays importable but leaves __all__.  When the last caller of
+a public name goes away, this test fails until the name is deleted or made
+private.  No module reads the environment: a setting the code cannot work
+out for itself belongs in the command line.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "genoweave"
+BENCH = TESTS.parent / "bench"
 MODULES = ("channels", "polar", "rates", "sim", "weave")
 
 
@@ -35,7 +38,7 @@ def _referenced(path: Path) -> set[str]:
 def test_exported_names_resolve_and_have_callers(name):
     module = importlib.import_module(f"genoweave.{name}")
     callers = [p for p in PACKAGE.glob("*.py") if p.stem != name]
-    callers += [p for p in TESTS.glob("test_*.py") if p != Path(__file__).resolve()]
+    callers += [*BENCH.glob("*.py"), TESTS / "test_acceptance.py"]
     used = set().union(*(_referenced(p) for p in callers))
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     unused = [n for n in module.__all__ if n not in used]

@@ -1,6 +1,5 @@
 """Polar transform, SC decoding, and Monte-Carlo code construction."""
 
-import io
 import itertools
 import math
 
@@ -12,12 +11,11 @@ from genoweave.polar import (
     PolarCode,
     design_polar_code,
     equivocation_stats,
+    format_equivocations_csv,
     make_polar_code,
     polar_transform,
     read_equivocations_csv,
     sc_decode_batch,
-    select_info_set,
-    write_equivocations_csv,
 )
 from sc_oracle import genie_posteriors
 
@@ -315,10 +313,10 @@ def test_equivocation_values_in_unit_interval():
 
 def test_select_info_set_strict_threshold():
     eq = np.array([0.0, 0.2, 0.5, 0.7])
-    assert select_info_set(eq, 0.5).tolist() == [0, 1]
-    assert select_info_set(eq, 0.500001).tolist() == [0, 1, 2]
+    assert make_polar_code(4, 0.1, eq, threshold=0.5).info_set.tolist() == [0, 1]
+    assert make_polar_code(4, 0.1, eq, threshold=0.500001).info_set.tolist() == [0, 1, 2]
     with pytest.raises(ValueError):
-        select_info_set(eq, 0.0)
+        make_polar_code(4, 0.1, eq, threshold=0.0)
 
 
 def test_code_rate_monotone_in_delta():
@@ -380,16 +378,19 @@ def test_polar_code_arrays_are_read_only():
 # CSV round trip
 
 
-def test_equivocations_csv_roundtrip():
+def test_equivocations_csv_roundtrip(tmp_path):
     eq = equivocation_stats(16, 0.05, samples=50, seed=14).equivocations
-    buf = io.StringIO()
-    write_equivocations_csv(buf, eq, meta={"n": 16, "delta": 0.05})
-    back = read_equivocations_csv(io.StringIO(buf.getvalue()))
+    text = format_equivocations_csv(eq, {"n": 16, "delta": 0.05})
+    path = tmp_path / "eq.csv"
+    path.write_text(text)
+    back = read_equivocations_csv(str(path))
     assert (back == eq).all()
-    assert buf.getvalue().startswith("# n=16\n# delta=0.05\n")
+    assert text.startswith("# n=16\n# delta=0.05\n")
 
 
-def test_equivocations_csv_rejects_out_of_order_rows():
-    text = "index,equivocation\n0,0.5\n2,0.25\n"
+def test_equivocations_csv_rejects_out_of_order_rows(tmp_path):
+    text = format_equivocations_csv([0.5, 0.25], {}).replace("1,0.25", "2,0.25")
+    path = tmp_path / "eq.csv"
+    path.write_text(text)
     with pytest.raises(ValueError):
-        read_equivocations_csv(io.StringIO(text))
+        read_equivocations_csv(str(path))

@@ -8,6 +8,7 @@ on them, however construction is blocked and threaded.
 """
 
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -140,10 +141,11 @@ def test_a_leaf_is_one_call_and_g_two():
 @pytest.mark.parametrize("n, B", [(n, B) for n in SIZES for B in (1, 7, 256)]
                          + [(n, B) for n in (512, 1024, 4096) for B in (1, 7)])
 def test_genie_leaf_llrs_match_oracle(n, B):
-    # the level-by-level butterfly against the successive decoder's leaves
+    # the level-by-level butterfly against the successive decoder's leaves, on
+    # the finite kinds: construction feeds it BSC patterns of +-L0 alone
     rng = np.random.default_rng(2000 * n + B)
     forced = np.zeros((B, n), np.uint8)
-    for lam in _llr_batches(n, B, rng):
+    for lam in itertools.islice(_llr_batches(n, B, rng), 2):
         want = np.empty((B, n))
         sc_oracle._sc_batch(lam.copy(), None, forced=forced, leaf_llrs=want)
         leaf = polar._genie_leaf_llrs(lam.T.copy())

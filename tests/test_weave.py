@@ -323,6 +323,18 @@ def test_decode_pool_batch_rejects_unknown_symbols():
         decode_pool_batch(np.full((1, 4, 4), -1), code, "fixed", 4)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.5, 1.999, np.nan])
+def test_decode_pool_batch_rejects_values_a_uint8_cast_would_hide(bad):
+    # the cast to uint8 would decode 0.5, 1.5 and 1.999 as 0, 1 and 1
+    obs = np.zeros((1, 4, 4))
+    obs[0, 2, 1] = bad
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        decode_pool_batch(obs, _full_rate_code(4), "fixed", 4)
+    # the same symbols as exact floats and as bools decode
+    decode_pool_batch(np.full((1, 4, 4), 2.0), _full_rate_code(4), "fixed", 4)
+    decode_pool_batch(np.ones((1, 4, 4), bool), _full_rate_code(4), "fixed", 4)
+
+
 def test_decode_pool_batch_of_no_pools_is_empty():
     code = _full_rate_code(4)
     for mode, width in (("push", 8), ("pull", 16), ("fixed", 8)):
@@ -358,7 +370,7 @@ def _decode_quaternary(code, info_pair, delta, rng):
     """Both component pools through one shared deletion pattern, decoded as a batch of two."""
     pool_r, pool_i = (weave_encode(info, code) for info in info_pair)
     (obs_r, _), (obs_i, _) = delete_pool_coincident(pool_r.strands, pool_i.strands, delta, rng)
-    res = decode_pool_batch(np.stack([obs_r, obs_i]), code, "push", pool_r.length)
+    res = decode_pool_batch(np.stack([obs_r, obs_i]), code, "push", pool_r.strands.shape[1])
     return bool((res.info_bits != np.stack(info_pair)).any())
 
 
