@@ -85,7 +85,16 @@ def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
     return rows
 
 
+def _check_grid(args: argparse.Namespace) -> None:
+    # an empty grid would write a header-only CSV and report success
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.dmax < 0:
+        raise ValueError(f"--dmax must be non-negative, got {args.dmax}")
+
+
 def _cmd_rates(args: argparse.Namespace) -> int:
+    _check_grid(args)
     lines = ["# seed=none", "delta,d,rate,envelope_rate,envelope_opt_d"]
     lines += _concat_rows(RateFamily(q=args.q, family=args.family), args)
     _write(args.out, "\n".join(lines) + "\n")
@@ -178,6 +187,7 @@ def _figure_all(args: argparse.Namespace, q: int) -> str:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    _check_grid(args)
     which = args.which
     if which == "scalar":
         text = _figure_scalar(args)

@@ -5,8 +5,11 @@ the construction for (n, delta) uses seed derive(master, "construct", n,
 delta); pool i of a cell uses stream (derive(master, "pools", kind, n,
 delta), i).  Pools decode in lock step in batches as wide as a memory
 rule allows, purely for vector width, so failure counts are bit-identical
-whatever the batch size.  A batch's observations are stored position-major,
-the order the decoder reads, so they reach it without a copy.
+whatever the batch size.  A batch holds one component's observations
+unpacked, position-major (the order the decoder reads, so they reach it
+without a copy): the component being decoded.  The info bits to check
+against, and a quaternary pool's imag component while the real one
+decodes, are held as packed bits.
 
 Progress goes to stderr; all data products are returned (or formatted as
 CSV) for the caller to write.
@@ -147,7 +150,9 @@ def run_construction_sweep(config: ExperimentConfig) -> list[ConstructionPoint]:
 
 
 def _pool_batch_size(n: int, width: int, pools: int) -> int:
-    # pools that decode in lock step: about 64 MB of observations per component
+    # pools that decode in lock step: about 64 MB for the one unpacked
+    # component; a waiting quaternary component adds a quarter of that as two
+    # packed bit planes, the packed truth bits an eighth of the decoded info
     return max(1, min(pools, (1 << 26) // max(n * width, 1)))
 
 
@@ -171,6 +176,25 @@ def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: 
     return info[None], obs[None]
 
 
+def _pack_planes(sym: np.ndarray, out: np.ndarray) -> None:
+    # out = (low, high) bit planes of (n, width) symbols, which hold any
+    # symbol of {0, 1, ERASURE} exactly: (2, width, ceil(n / 8)), packed
+    # along strands
+    t = sym.T.copy()  # packing along a strided axis is 3x slower
+    out[0] = np.packbits(t & 1, axis=-1)
+    out[1] = np.packbits(t >> 1, axis=-1)
+
+
+def _unpack_planes(planes: np.ndarray, out: np.ndarray) -> None:
+    # out[p] = low | high << 1 for a batch of _pack_planes results stacked
+    # on axis 2, a position row at a time so no temporary outgrows one row
+    low, high = planes
+    n = out.shape[-1]
+    for p, row in enumerate(out):
+        np.left_shift(np.unpackbits(high[p], axis=-1, count=n), 1, out=row)
+        row |= np.unpackbits(low[p], axis=-1, count=n)
+
+
 def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
     # Each component decodes as its own batch of pools; a pool fails when
@@ -187,22 +211,26 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
         batch = _pool_batch_size(config.n, width, config.pools)
         for start in range(0, config.pools, batch):
             count = min(batch, config.pools - start)
-            # position-major; each part reaches the decoder as a view
-            obs = np.empty((parts, width, count, config.n), dtype=np.uint8)
-            truth = np.empty((parts, count, STRAND_LENGTH, code.k), dtype=np.uint8)
+            # position-major; the component being decoded reaches the decoder
+            # as a view, later ones wait as bit planes packed along strands
+            obs = np.empty((width, count, config.n), dtype=np.uint8)
+            waiting = np.empty((parts - 1, 2, width, count, (config.n + 7) // 8), dtype=np.uint8)
+            truth = np.empty((parts, count, STRAND_LENGTH, (code.k + 7) // 8), dtype=np.uint8)
             for b in range(count):
                 rng = np.random.default_rng([cell_seed, start + b])
-                truth[:, b], pool_obs = _generate_pool(rng, code, kind, delta)
-                obs[:, :, b] = pool_obs.transpose(0, 2, 1)
+                info, pool_obs = _generate_pool(rng, code, kind, delta)
+                truth[:, b] = np.packbits(info, axis=-1)
+                obs[:, b] = pool_obs[0].T
+                for planes, part in zip(waiting, pool_obs[1:]):
+                    _pack_planes(part, planes[:, :, b])
             bad = np.zeros(count, dtype=bool)
-            for part_obs, part_truth in zip(obs, truth):
-                info = decode_pool_batch(part_obs.transpose(1, 2, 0), code, mode,
+            for c in range(parts):
+                if c:
+                    _unpack_planes(waiting[c - 1], obs)
+                info = decode_pool_batch(obs.transpose(1, 2, 0), code, mode,
                                          STRAND_LENGTH).info_bits
-                # compared in place and freed before the next part decodes: a
-                # separate comparison, or two parts' results, would raise the
-                # memory peak by one more array of this size
-                bad |= np.not_equal(info, part_truth, out=info).any(axis=(1, 2))
-                del info
+                bad |= (np.packbits(info, axis=-1) != truth[c]).any(axis=(1, 2))
+                del info  # freed before the next component decodes
             failed.extend(int(start + i) for i in np.flatnonzero(bad))
             _progress(f"pools n={config.n} delta={delta:g} kind={kind} "
                       f"{start + count}/{config.pools} failures={len(failed)}")
@@ -280,10 +308,16 @@ def semilog_floor(values) -> np.ndarray:
 
 
 def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:
-    """Failure-count table as CSV text with a seed provenance comment."""
-    lines = [f"# seed={master_seed}", "n,delta,error_kind,pools,failures,code_rate,seed"]
+    """Failure-count table as CSV text with a seed provenance comment.
+
+    Each row carries its cell_seed and its failed_pools (space-separated
+    indices), so replay_pool can regenerate any failed pool from the row.
+    """
+    lines = [f"# seed={master_seed}",
+             "n,delta,error_kind,pools,failures,code_rate,seed,cell_seed,failed_pools"]
     for r in rows:
         lines.append(f"{r.n},{float(r.delta)!r},{r.error_kind},{r.pools_run},"
-                     f"{r.failure_count},{float(r.code_rate)!r},{r.seed}")
+                     f"{r.failure_count},{float(r.code_rate)!r},{r.seed},"
+                     f"{r.cell_seed},{' '.join(map(str, r.failed_pools))}")
     return "\n".join(lines) + "\n"
 

@@ -87,9 +87,9 @@ def test_simulate_basic_row(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "# seed=4"
-    assert lines[1] == "n,delta,error_kind,pools,failures,code_rate,seed"
+    assert lines[1] == "n,delta,error_kind,pools,failures,code_rate,seed,cell_seed,failed_pools"
     fields = lines[2].split(",")
-    assert fields[0] == "32" and fields[4] == "0"
+    assert fields[0] == "32" and fields[4] == "0" and fields[8] == ""
 
 
 def test_simulate_reruns_are_byte_identical(capsys):
@@ -226,6 +226,10 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["simulate", "--n", "64", "--delta", "150%"]) == 2
     capsys.readouterr()
+    for cmd in (["rates", "--q", "2", "--family", "explicit"], ["figures", "--which", "concat2"]):
+        assert main([*cmd, "--grid-points", "0"]) == 2
+        assert main([*cmd, "--dmax", "-1"]) == 2
+        assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2

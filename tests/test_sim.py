@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,12 +104,23 @@ def test_pool_experiment_deterministic():
 
 
 def test_pool_experiment_batch_size_invariant(monkeypatch):
-    base = run_pool_experiment(ExperimentConfig(**SMALL))
-    for size in (1, 7, 1000):
-        monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, size=size: size)
-        rows = run_pool_experiment(ExperimentConfig(**SMALL))
-        assert rows[0].failure_count == base[0].failure_count
-        assert rows[0].failed_pools == base[0].failed_pools
+    # n=2 and n=4 pad the strand axis when a waiting quaternary component is
+    # packed; n=2 needs a looser threshold and a lower error rate to keep k > 0 and
+    # fail only some of its pools
+    cells = (SMALL, dict(SMALL, n=4),
+             dict(SMALL, n=2, delta_list=(0.001,), threshold_scale=50.0))
+    for run in (run_pool_experiment, run_quaternary_pool_experiment):
+        for cell in cells:
+            cfg = ExperimentConfig(**cell)
+            codes = {cfg.delta_list[0]: sim._construct(cfg, cfg.delta_list[0])[0]}
+            base = run(cfg, codes)
+            assert 0 < base[0].failure_count < cfg.pools, "cell should fail some pools"
+            with monkeypatch.context() as m:
+                for size in (1, 7, 1000):
+                    m.setattr(sim, "_pool_batch_size", lambda n, width, pools, size=size: size)
+                    rows = run(cfg, codes)
+                    assert rows[0].failure_count == base[0].failure_count
+                    assert rows[0].failed_pools == base[0].failed_pools
 
 
 def test_replay_reproduces_recorded_failures():
@@ -118,9 +130,12 @@ def test_replay_reproduces_recorded_failures():
     assert row.failure_count > 0, "fixture config should produce failures"
     # rebuild the same code the run used
     code, _ = sim._construct(cfg, row.delta)
-    # a recorded failure really mismatches the truth
-    truth, decoded = replay_pool(code, row.error_kind, row.delta,
-                                 row.cell_seed, row.failed_pools[0])
+    # a recorded failure really mismatches the truth, driven from the CSV row
+    _, delta, kind, *_, cell_seed, failed = \
+        results_to_csv(rows, cfg.master_seed).split("\n")[2].split(",")
+    failed = tuple(map(int, failed.split()))
+    assert (int(cell_seed), failed) == (row.cell_seed, row.failed_pools)
+    truth, decoded = replay_pool(code, kind, float(delta), int(cell_seed), failed[0])
     assert (truth != decoded).any()
     # and a pool not on the list decodes exactly
     good = next(i for i in range(row.pools_run) if i not in row.failed_pools)
@@ -167,6 +182,47 @@ def test_replay_reproduces_quaternary_failures():
     good = next(i for i in range(row.pools_run) if i not in row.failed_pools)
     truth, decoded = replay_pool(code, row.error_kind, row.delta, row.cell_seed, good)
     assert (truth == decoded).all()
+
+
+def test_packed_planes_hold_every_symbol():
+    # failed-pool lists hardly depend on reads of erasure padding, so a
+    # plane that lost erasures would not show there: check the format itself
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 4, 64):
+        sym = rng.integers(0, 3, size=(5, n, STRAND_LENGTH), dtype=np.uint8)
+        planes = np.empty((2, STRAND_LENGTH, 5, (n + 7) // 8), dtype=np.uint8)
+        for b, pool in enumerate(sym):
+            sim._pack_planes(pool, planes[:, :, b])
+        out = np.empty((STRAND_LENGTH, 5, n), dtype=np.uint8)
+        sim._unpack_planes(planes, out)
+        assert (out == sym.transpose(2, 0, 1)).all()
+
+
+def test_quaternary_cell_holds_one_unpacked_component():
+    # A batch must hold the component being decoded, unpacked (256 x pools x n
+    # bytes); the waiting component as two bit planes packed along strands;
+    # both components' truth bits packed along k; and the decoded info bits
+    # (pools x 256 x k bytes).  The bound allows one more unpacked component
+    # for what works beside them: the pool being generated, the decoder's
+    # per-position buffers and the SC plan, about half a component here.
+    # Holding both components and the truth unpacked would need
+    # 2 x 256 x pools x (n + k) + pools x 256 x k bytes of arrays alone,
+    # which is above the bound.
+    n, pools = 64, 64
+    cfg = ExperimentConfig(n=n, delta_list=(0.01,), error_kind="deletion", pools=pools,
+                           construction_samples=200, master_seed=1)
+    code = sim._construct(cfg, 0.01)[0]
+    component = STRAND_LENGTH * pools * n
+    held = (component + 2 * STRAND_LENGTH * pools * (n // 8)
+            + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8) + pools * STRAND_LENGTH * code.k)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run_quaternary_pool_experiment(cfg, codes={0.01: code})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < held + component, (peak, held, component)
 
 
 def test_quaternary_experiment_rejects_other_kinds():
@@ -230,11 +286,12 @@ def test_results_csv_format():
     text = results_to_csv(rows, 8)
     lines = text.strip().split("\n")
     assert lines[0] == "# seed=8"
-    assert lines[1] == "n,delta,error_kind,pools,failures,code_rate,seed"
-    n, delta, kind, pools, fails, rate, seed = lines[2].split(",")
+    assert lines[1] == "n,delta,error_kind,pools,failures,code_rate,seed,cell_seed,failed_pools"
+    n, delta, kind, pools, fails, rate, seed, cell_seed, failed = lines[2].split(",")
     assert (int(n), float(delta), kind) == (32, 0.0, "deletion")
     assert (int(pools), int(fails), int(seed)) == (2, 0, 8)
     assert float(rate) == rows[0].code_rate
+    assert int(cell_seed) == rows[0].cell_seed and failed == ""
 
 
 def test_wall_time_and_counts_recorded():
