@@ -4,8 +4,8 @@ Monte-Carlo bit-channel construction, and information-set selection.
 The transform is the plain Kronecker power of [[1,0],[1,1]] in natural
 index order (no bit reversal), which makes it an involution.  Decoding
 uses exact log-domain check-node updates rather than the min-sum
-approximation; LLRs may be +-inf as certainty sentinels, an LLR of
-exactly zero decodes to 0.
+approximation; LLRs must be finite, and an LLR of exactly zero decodes
+to 0.
 
 Decoding is batched: a (B, n) LLR array runs B independent decoders in
 lock step.  Genie-aided construction needs no decoder at all: with every
@@ -208,50 +208,13 @@ def _gfun(a, b, x, out, sd):
     return [(np.bitwise_xor, (a.view(np.uint64), x, bits)), (np.add, (b, s, out))]
 
 
-def _boxplus_robust(a, b, out, sd):
-    # +-inf sentinels make a+b ill-defined; fall back to the explicit form
-    # and zero out the correction wherever it degenerates.
-    m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    with np.errstate(invalid="ignore"):
-        corr = np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out[...] = m + np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-def _gfun_robust(a, b, x, out, sd):
-    with np.errstate(invalid="ignore"):
-        r = b + a if x is None else np.where(x.astype(bool), b - a, b + a)
-    # inf - inf marks contradictory certainty; treat it as no information
-    out[...] = np.nan_to_num(r, nan=0.0, posinf=np.inf, neginf=-np.inf)
-
-
 def _run(steps) -> None:
     for fn, args in steps:
         fn(*args)
 
 
-def _is_robust(lam) -> bool:
-    # whether these LLRs need the robust f/g: +-inf sentinels occur
-    if np.isfinite(lam).all():
-        return False
-    if np.isnan(lam).any():
-        raise ValueError("LLRs must be finite or +-inf, got NaN")
-    return True
-
-
-def _one_step(fn):
-    return lambda *args: [(fn, args)]
-
-
-def _fg(robust: bool):
-    # f and g as step builders: each returns the calls that write f(a, b)
-    # or g(a, b, x) into out; the robust forms are one call each
-    if robust:
-        return _one_step(_boxplus_robust), _one_step(_gfun_robust)
-    return _boxplus, _gfun
-
-
 class _SCPlan:
-    """SC decoding compiled for one frozen mask, batch width and LLR kind.
+    """SC decoding compiled for one frozen mask and batch width.
 
     The workspace is position-major, (positions, B): the two halves of a
     node's LLRs and a leaf's B decisions are then contiguous blocks.  lev[l]
@@ -267,9 +230,9 @@ class _SCPlan:
     _xor_stages turns a copy of x's bits into u.
     """
 
-    __slots__ = ("key", "n", "lev", "sd", "x", "ones", "f_steps", "g", "steps")
+    __slots__ = ("key", "n", "lev", "sd", "x", "ones", "f_steps", "steps")
 
-    def __init__(self, key, frozen_mask: np.ndarray, B: int, robust: bool):
+    def __init__(self, key, frozen_mask: np.ndarray, B: int):
         n = frozen_mask.size
         m = n.bit_length() - 1
         self.key, self.n = key, n
@@ -278,9 +241,8 @@ class _SCPlan:
         self.sd = [sd[:n * B >> l].reshape(2, n >> l + 1, B) for l in range(m)]
         self.x = np.empty((n, B), dtype=np.uint64)
         self.ones = np.concatenate(([0], np.cumsum(~frozen_mask))).tolist()
-        f, self.g = _fg(robust)
         # every node at depth l runs f on the same views, so they share its steps
-        self.f_steps = [f(lev[:len(lev) // 2], lev[len(lev) // 2:], nxt, sd)
+        self.f_steps = [_boxplus(lev[:len(lev) // 2], lev[len(lev) // 2:], nxt, sd)
                         for lev, nxt, sd in zip(self.lev, self.lev[1:], self.sd)]
         self.steps = []
         if self.ones[-1]:
@@ -303,7 +265,7 @@ class _SCPlan:
             self.steps += self.f_steps[l]
             self._visit(l + 1, j0)
         if right:
-            self.steps += self.g(a, b, x[j0:jm] if left else None, out, sd)
+            self.steps += _gfun(a, b, x[j0:jm] if left else None, out, sd)
             self._visit(l + 1, jm)
             if left:
                 self.steps.append((np.bitwise_xor, (x[j0:jm], x[jm:j1], x[j0:jm])))
@@ -335,21 +297,24 @@ _plans = threading.local()
 def sc_decode_batch(llrs, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
     """Decode B codeword observations at once; rows are independent decoders.
 
-    llrs is (B, n).  Frozen positions decode to 0 and data positions take
-    the sign decision, with LLR == 0 decoding to 0.  Returns (u_hat, x_hat),
-    both (B, n) uint8: transposed views of position-major arrays of their
-    own.  x_hat is the re-encoded codeword estimate polar_transform(u_hat),
-    produced for free by the decoder's partial sums.
+    llrs is (B, n) and finite; +-inf or NaN raises ValueError.  Frozen
+    positions decode to 0 and data positions take the sign decision, with
+    LLR == 0 decoding to 0.  Returns (u_hat, x_hat), both (B, n) uint8:
+    transposed views of position-major arrays of their own.  x_hat is the
+    re-encoded codeword estimate polar_transform(u_hat), produced for free
+    by the decoder's partial sums.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ValueError(f"expected LLR shape (B, {code.n}), got {llrs.shape}")
-    B, robust = llrs.shape[0], _is_robust(llrs)
-    key = (B, robust, code.frozen_mask.tobytes())
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
+    B = llrs.shape[0]
+    key = (B, code.frozen_mask.tobytes())
     plan = getattr(_plans, "plan", None)
     if plan is None or plan.key != key:
         plan = _plans.plan = None  # free the old workspace before building the next
-        plan = _plans.plan = _SCPlan(key, code.frozen_mask, B, robust)
+        plan = _plans.plan = _SCPlan(key, code.frozen_mask, B)
     return plan.run(llrs)
 
 

@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"pool count must be positive, got {self.pools}")
         if self.construction_samples < 1:
             raise ValueError("construction needs at least one sample")
-        if not self.threshold_scale > 0.0:
-            raise ValueError("threshold scale must be positive")
+        if not 0.0 < self.threshold_scale < np.inf:  # inf selects every channel
+            raise ValueError("threshold scale must be finite and positive")
         object.__setattr__(self, "delta_list", deltas)
 
     def threshold(self) -> float:

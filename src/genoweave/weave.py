@@ -30,6 +30,13 @@ __all__ = [
 
 DECODE_MODES = ("push", "pull", "fixed")
 
+# Under a noiseless (delta = 0) design a symbol is certain; SC takes finite
+# LLRs, so certainty is +-CERTAIN_LLR.  With no errors every node LLR has its
+# right sign, smallest on the all-f path, f(a, a) = a - ln 2 + log1p(exp(-2a))
+# >= a - ln 2: above 6.33 at depth 63, past any n an int64 index reaches.
+# From 1 it would reach 0 at depth 6, n = 64, and decode wrongly.
+CERTAIN_LLR = 50.0
+
 
 @dataclass(frozen=True)
 class Pool:
@@ -117,9 +124,7 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     if width < need:
         raise ValueError(f"observation width {width} too small for {mode} over {length} positions")
     delta = code.design_delta
-    # a noiseless model has infinite-confidence symbols; the decoder's
-    # robust path absorbs the resulting +-inf arithmetic
-    table = np.array([np.inf, -np.inf, 0.0]) if delta == 0.0 else llr_table(delta)
+    table = np.array([CERTAIN_LLR, -CERTAIN_LLR, 0.0]) if delta == 0.0 else llr_table(delta)
 
     step = 0 if mode == "fixed" else (-1 if mode == "push" else 1)
     info_out = np.empty((W, length, code.k), dtype=np.uint8)

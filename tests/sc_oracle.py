@@ -4,9 +4,11 @@ This is the allocate-per-node recursive kernel that genoweave.polar used
 before its kernel was rewritten around preallocated buffers and rate-0
 pruning, kept as the oracle for tests/test_sc_kernel.py.  The new kernel
 must reproduce its decisions, partial sums, genie leaf LLRs and
-equivocation statistics byte for byte.  genie_posteriors, the decoder with
-every decision forced to a given bit, lives here too: construction only
-ever forces 0, so the package has no forced-bits path of its own.
+equivocation statistics byte for byte.  Like the kernel, it takes finite
+LLRs only: a noiseless design decodes with a finite certainty LLR.
+genie_posteriors, the decoder with every decision forced to a given bit,
+lives here too: construction only ever forces 0, so the package has no
+forced-bits path of its own.
 """
 
 from __future__ import annotations
@@ -37,24 +39,8 @@ def _boxplus(a, b):
     return 0.5 * (s - d) + np.log1p(np.exp(-s)) - np.log1p(np.exp(-d))
 
 
-def _boxplus_robust(a, b):
-    # +-inf sentinels make a+b ill-defined; fall back to the explicit form
-    # and zero out the correction wherever it degenerates.
-    m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    with np.errstate(invalid="ignore"):
-        corr = np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    return m + np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-
-
 def _gfun(a, b, x):
     return np.where(x.astype(bool), b - a, b + a)
-
-
-def _gfun_robust(a, b, x):
-    with np.errstate(invalid="ignore"):
-        r = np.where(x.astype(bool), b - a, b + a)
-    # inf - inf marks contradictory certainty; treat it as no information
-    return np.nan_to_num(r, nan=0.0, posinf=np.inf, neginf=-np.inf)
 
 
 def _sc_batch(llrs: np.ndarray,
@@ -63,19 +49,15 @@ def _sc_batch(llrs: np.ndarray,
               leaf_llrs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run B successive-cancellation decoders in lock step.
 
-    llrs is (B, n).  When forced is given, leaf decisions are overridden by
-    it (the genie path); otherwise frozen positions decode to 0 and data
-    positions take the sign decision, with LLR == 0 decoding to 0.
+    llrs is (B, n) and finite.  When forced is given, leaf decisions are
+    overridden by it (the genie path); otherwise frozen positions decode to
+    0 and data positions take the sign decision, with LLR == 0 decoding to 0.
     leaf_llrs, when provided, receives the decision-point LLR of every leaf.
     Returns (u_hat, x_hat), both (B, n) uint8.
     """
     B, n = llrs.shape
-    if np.isnan(llrs).any():
-        raise ValueError("LLRs must be finite or +-inf, got NaN")
-    if np.isinf(llrs).any():
-        f, g = _boxplus_robust, _gfun_robust
-    else:
-        f, g = _boxplus, _gfun
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
 
     def leaf(lam: np.ndarray, j: int) -> np.ndarray:
         if leaf_llrs is not None:
@@ -97,11 +79,11 @@ def _sc_batch(llrs: np.ndarray,
         if h == 2:
             a0 = a[:, 0]
             b0 = b[:, 0]
-            u0 = leaf(f(a0, b0), j0)
-            u1 = leaf(g(a0, b0, u0), j0 + 1)
+            u0 = leaf(_boxplus(a0, b0), j0)
+            u1 = leaf(_gfun(a0, b0, u0), j0 + 1)
             return np.stack((u0, u1), axis=1), np.stack((u0 ^ u1, u1), axis=1)
-        ul, xl = node(f(a, b), j0)
-        ur, xr = node(g(a, b, xl), j0 + half)
+        ul, xl = node(_boxplus(a, b), j0)
+        ur, xr = node(_gfun(a, b, xl), j0 + half)
         return (np.concatenate((ul, ur), axis=1),
                 np.concatenate((xl ^ xr, xr), axis=1))
 

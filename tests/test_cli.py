@@ -226,6 +226,8 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["simulate", "--n", "64", "--delta", "150%"]) == 2
     capsys.readouterr()
+    assert main(["simulate", "--n", "32", "--delta", "1%", "--threshold-scale", "inf"]) == 2
+    capsys.readouterr()
     for cmd in (["rates", "--q", "2", "--family", "explicit"], ["figures", "--which", "concat2"]):
         assert main([*cmd, "--grid-points", "0"]) == 2
         assert main([*cmd, "--dmax", "-1"]) == 2

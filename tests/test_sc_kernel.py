@@ -8,7 +8,6 @@ on them, however construction is blocked and threaded.
 """
 
 import gc
-import itertools
 import math
 import sys
 import threading
@@ -56,12 +55,6 @@ def _codes(n, rng):
 def _llr_batches(n, B, rng):
     yield rng.choice([L0, -L0, 0.0], size=(B, n))  # BSC symbols and erasures
     yield rng.normal(scale=4.0, size=(B, n))
-    yield rng.choice([np.inf, -np.inf, 0.0, L0, -L0], size=(B, n))
-    # contradictory certainty: each position paired with its opposite sign
-    lam = rng.choice([np.inf, -np.inf], size=(B, n))
-    if n > 1:
-        lam[:, n // 2:] = -lam[:, :n // 2]
-    yield lam
 
 
 def _check_oracle(lam, code):
@@ -98,30 +91,27 @@ def test_negative_zero_llrs_decode_as_the_oracle(B):
     # maps -0.0 to +0.0 on the way in.
     rng = np.random.default_rng(47 + B)
     for code in _codes(64, rng):
-        for symbols in ([L0, -L0, 0.0, -0.0], [np.inf, -np.inf, 0.0, -0.0, L0]):
-            lam = rng.choice(symbols, size=(B, 64))
-            assert np.signbit(lam[lam == 0]).any()
-            _check_oracle(lam, code)
+        lam = rng.choice([L0, -L0, 0.0, -0.0], size=(B, 64))
+        assert np.signbit(lam[lam == 0]).any()
+        _check_oracle(lam, code)
     u, x = sc_decode_batch(np.full((B, 1), -0.0), _code_with_info(1, [0]))
     assert not u.any() and not x.any()
 
 
-@pytest.mark.parametrize("robust", [False, True])
-def test_f_and_g_make_no_negative_zero(robust):
+def test_f_and_g_make_no_negative_zero():
     # The sign-bit leaf is exact only if no -0.0 reaches it.  Channel LLRs are
-    # +-L0 and +0.0 (+-inf too under a noiseless design); f and g, applied
-    # level after level, must never make -0.0 from them.
-    f, g = polar._fg(robust)
-    seeds = np.array([L0, -L0, 0.0] + ([np.inf, -np.inf] if robust else []))
+    # +-L0 and +0.0; f and g, applied level after level, must never make -0.0
+    # from them.
+    seeds = np.array([L0, -L0, 0.0])
     vals = seeds
     rng = np.random.default_rng(46)
     for _ in range(4):
         a, b = (v.ravel() for v in np.meshgrid(vals, vals))
         out, sd = np.empty((4, a.size)), np.empty((2, a.size))
-        polar._run(f(a, b, out[0], sd))
-        polar._run(g(a, b, None, out[1], sd))
+        polar._run(polar._boxplus(a, b, out[0], sd))
+        polar._run(polar._gfun(a, b, None, out[1], sd))
         for mask, row in ((np.uint64(0), out[2]), (polar._SIGN, out[3])):
-            polar._run(g(a, b, np.full(a.size, mask), row, sd))
+            polar._run(polar._gfun(a, b, np.full(a.size, mask), row, sd))
         assert not np.signbit(out[out == 0]).any()
         # the next level's inputs: the seeds and a sample of this level's outputs
         vals = np.unique(np.concatenate([seeds, rng.choice(out.ravel(), 40)]))
@@ -130,7 +120,7 @@ def test_f_and_g_make_no_negative_zero(robust):
 def test_a_leaf_is_one_call_and_g_two():
     # n=2 with both bits free: f, the left leaf, g, the right leaf and the
     # XOR that combines x
-    plan = polar._SCPlan(None, np.zeros(2, bool), 1, False)
+    plan = polar._SCPlan(None, np.zeros(2, bool), 1)
     assert len(plan.f_steps[0]) == 9
     assert [fn for fn, _ in plan.steps[9:]] == [np.bitwise_and, np.bitwise_xor, np.add,
                                                np.bitwise_and, np.bitwise_xor]
@@ -141,11 +131,10 @@ def test_a_leaf_is_one_call_and_g_two():
 @pytest.mark.parametrize("n, B", [(n, B) for n in SIZES for B in (1, 7, 256)]
                          + [(n, B) for n in (512, 1024, 4096) for B in (1, 7)])
 def test_genie_leaf_llrs_match_oracle(n, B):
-    # the level-by-level butterfly against the successive decoder's leaves, on
-    # the finite kinds: construction feeds it BSC patterns of +-L0 alone
+    # the level-by-level butterfly against the successive decoder's leaves
     rng = np.random.default_rng(2000 * n + B)
     forced = np.zeros((B, n), np.uint8)
-    for lam in itertools.islice(_llr_batches(n, B, rng), 2):
+    for lam in _llr_batches(n, B, rng):
         want = np.empty((B, n))
         sc_oracle._sc_batch(lam.copy(), None, forced=forced, leaf_llrs=want)
         leaf = polar._genie_leaf_llrs(lam.T.copy())
@@ -308,7 +297,7 @@ def test_plans_carry_no_state_between_calls():
             for code in codes:
                 for _ in range(2):
                     _check_oracle(rng.normal(scale=4.0, size=(B, n)), code)
-                    _check_oracle(rng.choice([np.inf, -np.inf, 0.0, L0], size=(B, n)), code)
+                    _check_oracle(rng.choice([L0, -L0, 0.0], size=(B, n)), code)
 
 
 def test_results_do_not_alias_the_workspace():

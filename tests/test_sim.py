@@ -250,8 +250,9 @@ def test_config_validation():
         ExperimentConfig(n=64, delta_list=(0.01,), error_kind="duplication")
     with pytest.raises(ValueError):
         ExperimentConfig(n=64, delta_list=(0.01,), pools=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=64, delta_list=(0.01,), threshold_scale=0.0)
+    for scale in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=64, delta_list=(0.01,), threshold_scale=scale)
 
 
 def test_config_threshold_scaling():

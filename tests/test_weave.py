@@ -1,10 +1,12 @@
 """Pool encoding and the push/pull resynchronizing decoder."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from genoweave import polar
 from genoweave.channels import (
     ERASURE,
     bsc_pool,
@@ -13,7 +15,7 @@ from genoweave.channels import (
     insert_pool,
 )
 from genoweave.polar import design_polar_code, make_polar_code, polar_transform
-from genoweave.weave import Pool, decode_pool_batch, weave_encode
+from genoweave.weave import CERTAIN_LLR, Pool, decode_pool_batch, weave_encode
 
 
 def _full_rate_code(n):
@@ -101,6 +103,71 @@ def test_roundtrip_noiseless_randomized_n256():
         info_bits, offsets, _ = _decode(pool.strands, code, mode)
         assert (info_bits == info).all()
         assert not offsets.any()
+
+
+# ---------------------------------------------------------------------------
+# noiseless design: a delta = 0 code decodes with a finite certainty LLR
+
+_NOISELESS = {"deletion": ("push", delete_pool), "insertion": ("pull", insert_pool),
+              "substitution": ("fixed", bsc_pool), "quaternary": ("push", None)}
+
+
+def _noiseless_decode(code, kind, rng, length=256):
+    # one pool of the kind through its channel at rate 0, decoded as simulate
+    # --delta 0 does; a quaternary pool is its two components in one batch
+    mode, channel = _NOISELESS[kind]
+    info = np.stack([_random_info(rng, length, code)
+                     for _ in range(2 if kind == "quaternary" else 1)])
+    strands = [weave_encode(part, code).strands for part in info]
+    if kind == "quaternary":
+        obs = [o for o, _ in delete_pool_coincident(*strands, 0.0, rng)]
+    else:
+        obs = [channel(strands[0], 0.0, rng)[0]]
+    res = decode_pool_batch(np.stack(obs), code, mode, length, trace=True)
+    assert (res.info_bits == info).all()
+    assert not res.offset_history.any() and not res.offsets.any()
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("kind", list(_NOISELESS))
+def test_noiseless_design_decodes_every_kind_exactly(n, frozen, kind):
+    # full rate, and the frozen positions of a 1% design that simulate --delta
+    # 0 --code FILE decodes with; every f on the all-f path of the tree takes
+    # about ln 2 off the certainty LLR, log2(n) times
+    eq = design_polar_code(n, 0.01, samples=64, seed=5).equivocations if frozen else np.zeros(n)
+    code = make_polar_code(n, 0.0, eq)
+    assert code.k == n or 0 < code.k < n
+    _noiseless_decode(code, kind, np.random.default_rng([n, frozen]))
+
+
+def test_noiseless_design_decodes_a_deletion_pool_at_n4096():
+    _noiseless_decode(make_polar_code(4096, 0.0, np.zeros(4096)), "deletion",
+                      np.random.default_rng(4096))
+
+
+def _all_f(llr, levels):
+    # the kernel's f on (a, a), level after level: the LLRs down the all-f
+    # path of a tree of depth levels whose channel LLRs all equal llr
+    a, out, sd = np.array([llr]), np.empty(1), np.empty((2, 1))
+    path = []
+    for _ in range(levels):
+        polar._run(polar._boxplus(a, a, out, sd))
+        a = out.copy()
+        path.append(float(a[0]))
+    return path
+
+
+def test_certain_llr_stays_certain_at_every_block_length():
+    # 63 levels is past any n an int64 index reaches.  f(a, a) is
+    # a - ln 2 + log1p(exp(-2a)), within 1e-5 of L - m ln 2 over the path.
+    path = _all_f(CERTAIN_LLR, 63)
+    for m, a in enumerate(path, 1):
+        assert a == pytest.approx(CERTAIN_LLR - m * math.log(2), abs=1e-5)
+    assert path[-1] > 6.0
+    # a certainty LLR of 1 reaches 0 at depth 6, and would fail every pool
+    # from n = 64 up
+    assert _all_f(1.0, 6)[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
