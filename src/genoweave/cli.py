@@ -63,13 +63,13 @@ def _write(out: str | None, text: str) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     delta = parse_delta(args.delta)
-    point, = sim.run_construction_sweep(ExperimentConfig(
+    (code, cseed), = sim.run_construction_sweep(ExperimentConfig(
         n=args.n, delta_list=(delta,), construction_samples=args.samples,
         master_seed=args.seed))
-    _write(args.out, format_equivocations_csv(point.equivocations, {
+    _write(args.out, format_equivocations_csv(code.equivocations, {
         "seed": args.seed, "n": args.n, "delta": repr(delta),
-        "samples": args.samples, "code_rate": repr(point.code_rate),
-        "construction_seed": point.construction_seed,
+        "samples": args.samples, "code_rate": repr(code.rate),
+        "construction_seed": cseed,
     }))
     return 0
 
@@ -153,14 +153,13 @@ def _figure_equiv(args: argparse.Namespace) -> str:
     lines = [f"# seed={args.seed}", "n,delta,fraction,equivocation,floored"]
     for n in args.ns:
         for delta in args.deltas:
-            points = sim.run_construction_sweep(ExperimentConfig(
+            (code, _), = sim.run_construction_sweep(ExperimentConfig(
                 n=n, delta_list=(delta,), construction_samples=args.samples,
                 master_seed=args.seed))
-            hist = sim.equivocation_histogram(points[0].equivocations)
-            floored = sim.semilog_floor(hist[:, 1])
-            for (frac, eq), fl in zip(hist, floored):
+            for frac, eq in sim.equivocation_histogram(code.equivocations):
+                # floored so that it survives a log-scale axis
                 lines.append(f"{n},{float(delta)!r},{float(frac)!r},"
-                             f"{float(eq)!r},{float(fl)!r}")
+                             f"{float(eq)!r},{max(float(eq), 1e-300)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -178,11 +177,11 @@ def _figure_all(args: argparse.Namespace, q: int) -> str:
             env_rate, _ = concat_envelope(fam, float(delta), args.ell)
             lines.append(f"envelope_{family},{float(delta)!r},{float(env_rate)!r}")
     for n in args.ns:
-        points = sim.run_construction_sweep(ExperimentConfig(
+        pairs = sim.run_construction_sweep(ExperimentConfig(
             n=n, delta_list=tuple(args.deltas), construction_samples=args.samples,
             master_seed=args.seed))
-        for p in points:
-            lines.append(f"polar_n{n},{float(p.delta)!r},{float(p.code_rate)!r}")
+        for code, _ in pairs:
+            lines.append(f"polar_n{n},{float(code.design_delta)!r},{float(code.rate)!r}")
     return "\n".join(lines) + "\n"
 
 

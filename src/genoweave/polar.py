@@ -72,7 +72,9 @@ def polar_transform(u) -> np.ndarray:
     """Apply the polar transform x = u F^{(x)m} over GF(2).
 
     Accepts a bit-vector of power-of-two length n, or a matrix whose rows
-    are independently transformed.  The transform is its own inverse.
+    are independently transformed.  The transform is its own inverse.  It
+    works on a position-major copy and returns a matrix as a transposed
+    view of it: out.T is C-contiguous.
     """
     u = np.asarray(u)
     if u.ndim not in (1, 2):
@@ -84,7 +86,7 @@ def polar_transform(u) -> np.ndarray:
         raise ValueError("input must be binary")
     xt = np.array(u.reshape(-1, n).T, dtype=np.uint8, order="C")
     _xor_stages(xt)
-    return np.ascontiguousarray(xt.T).reshape(u.shape)
+    return xt.T.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +450,11 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _genie_block(n: int, delta: float, seed: int, table: np.ndarray, work: threading.local,
+def _genie_block(n: int, delta: float, seed: int, table: np.ndarray,
                  start: int, c: int) -> np.ndarray:
     # h2 of the genie posteriors of samples start .. start + c - 1, as a new
-    # (c, n) array.  work holds this thread's three buffers of n * c floats
-    # for the whole call: blocks that allocated their own had them handed
-    # back to the OS and faulted in again, about 1 ms of a 16 ms block at
-    # n=4096.
-    bufs = getattr(work, "bufs", None)
-    if bufs is None or bufs.shape[1] < n * c:
-        bufs = work.bufs = np.empty((3, n * c))
-    rows, cur, sd = bufs[:, :n * c]
+    # (c, n) array
+    rows, cur, sd = np.empty((3, n * c))
     rows = rows.reshape(c, n)
     for i, row in enumerate(rows):
         np.random.default_rng([seed, start + i]).random(n, out=row)
@@ -523,7 +519,7 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000,
         return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
 
     table = _genie_table(n, math.log((1.0 - delta) / delta))
-    genie = partial(_genie_block, n, delta, seed, table, threading.local())
+    genie = partial(_genie_block, n, delta, seed, table)
     eq_sum = np.zeros(n, dtype=np.float64)
     tot_sum = 0.0
     tot_sq = 0.0

@@ -8,8 +8,10 @@ rule allows, purely for vector width, so failure counts are bit-identical
 whatever the batch size.  A batch holds one component's observations
 unpacked, position-major (the order the decoder reads, so they reach it
 without a copy): the component being decoded.  The info bits to check
-against, and a quaternary pool's imag component while the real one
-decodes, are held as packed bits.
+against are held as packed bits.  A quaternary pool's imag component
+waits while the real one decodes as one packed bit plane: a deletion
+takes a whole letter, so the imag component is erased exactly where the
+real one is and takes its erasures from it.
 
 Progress goes to stderr; all data products are returned (or formatted as
 CSV) for the caller to write.
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, ChannelSpec, apply_channel_pool, delete_pool_coincident
+from .channels import (CHANNEL_KINDS, ERASURE, ChannelSpec, apply_channel_pool,
+                       delete_pool_coincident)
 from .polar import PolarCode, design_polar_code
 from .weave import decode_pool_batch, weave_encode
 
@@ -37,7 +40,6 @@ __all__ = [
     "run_pool_experiment",
     "run_quaternary_pool_experiment",
     "equivocation_histogram",
-    "semilog_floor",
     "results_to_csv",
 ]
 
@@ -98,16 +100,6 @@ class ExperimentResult:
     failed_pools: tuple[int, ...] = field(default=(), repr=False)
 
 
-@dataclass(frozen=True)
-class ConstructionPoint:
-    """Constructed code for one delta, with the seed its construction drew from."""
-
-    delta: float
-    construction_seed: int
-    code_rate: float
-    equivocations: np.ndarray = field(repr=False)
-
-
 def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
@@ -136,23 +128,22 @@ def _construct(config: ExperimentConfig, delta: float) -> tuple[PolarCode, int]:
                              seed=cseed, threshold=config.threshold()), cseed
 
 
-def run_construction_sweep(config: ExperimentConfig) -> list[ConstructionPoint]:
-    """Construct a code per delta in the config and report rates."""
-    points = []
+def run_construction_sweep(config: ExperimentConfig) -> list[tuple[PolarCode, int]]:
+    """Construct a code per delta in the config: (code, construction_seed) pairs."""
+    pairs = []
     for delta in config.delta_list:
         t0 = time.perf_counter()
         code, cseed = _construct(config, delta)
-        points.append(ConstructionPoint(delta=delta, construction_seed=cseed,
-                                        code_rate=code.rate, equivocations=code.equivocations))
+        pairs.append((code, cseed))
         _progress(f"construct n={config.n} delta={delta:g} samples={config.construction_samples} "
                   f"rate={code.rate:.4f} ({time.perf_counter() - t0:.1f}s)")
-    return points
+    return pairs
 
 
 def _pool_batch_size(n: int, width: int, pools: int) -> int:
     # pools that decode in lock step: about 64 MB for the one unpacked
-    # component; a waiting quaternary component adds a quarter of that as two
-    # packed bit planes, the packed truth bits an eighth of the decoded info
+    # component; a waiting quaternary component adds an eighth of that as one
+    # packed bit plane, the packed truth bits an eighth of the decoded info
     return max(1, min(pools, (1 << 26) // max(n * width, 1)))
 
 
@@ -176,25 +167,6 @@ def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: 
     return info[None], obs[None]
 
 
-def _pack_planes(sym: np.ndarray, out: np.ndarray) -> None:
-    # out = (low, high) bit planes of (n, width) symbols, which hold any
-    # symbol of {0, 1, ERASURE} exactly: (2, width, ceil(n / 8)), packed
-    # along strands
-    t = sym.T.copy()  # packing along a strided axis is 3x slower
-    out[0] = np.packbits(t & 1, axis=-1)
-    out[1] = np.packbits(t >> 1, axis=-1)
-
-
-def _unpack_planes(planes: np.ndarray, out: np.ndarray) -> None:
-    # out[p] = low | high << 1 for a batch of _pack_planes results stacked
-    # on axis 2, a position row at a time so no temporary outgrows one row
-    low, high = planes
-    n = out.shape[-1]
-    for p, row in enumerate(out):
-        np.left_shift(np.unpackbits(high[p], axis=-1, count=n), 1, out=row)
-        row |= np.unpackbits(low[p], axis=-1, count=n)
-
-
 def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
     # Each component decodes as its own batch of pools; a pool fails when
@@ -212,21 +184,27 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
         for start in range(0, config.pools, batch):
             count = min(batch, config.pools - start)
             # position-major; the component being decoded reaches the decoder
-            # as a view, later ones wait as bit planes packed along strands
+            # as a view, the imag one waits as its bits packed along strands
             obs = np.empty((width, count, config.n), dtype=np.uint8)
-            waiting = np.empty((parts - 1, 2, width, count, (config.n + 7) // 8), dtype=np.uint8)
+            waiting = np.empty((parts - 1, width, count, (config.n + 7) // 8), dtype=np.uint8)
             truth = np.empty((parts, count, STRAND_LENGTH, (code.k + 7) // 8), dtype=np.uint8)
             for b in range(count):
                 rng = np.random.default_rng([cell_seed, start + b])
                 info, pool_obs = _generate_pool(rng, code, kind, delta)
                 truth[:, b] = np.packbits(info, axis=-1)
                 obs[:, b] = pool_obs[0].T
-                for planes, part in zip(waiting, pool_obs[1:]):
-                    _pack_planes(part, planes[:, :, b])
+                for plane, part in zip(waiting, pool_obs[1:]):
+                    # made C-ordered in the same pass: packing along a
+                    # strided axis is 2-3x slower
+                    plane[:, b] = np.packbits(np.bitwise_and(part.T, 1, order="C"), axis=-1)
             bad = np.zeros(count, dtype=bool)
             for c in range(parts):
                 if c:
-                    _unpack_planes(waiting[c - 1], obs)
+                    # the erasures are shared: & ERASURE keeps each one and
+                    # zeroes each bit, then the bits are ORed in row by row
+                    obs &= ERASURE
+                    for row, bits in zip(obs, waiting[c - 1]):
+                        row |= np.unpackbits(bits, axis=-1, count=config.n)
                 info = decode_pool_batch(obs.transpose(1, 2, 0), code, mode,
                                          STRAND_LENGTH).info_bits
                 bad |= (np.packbits(info, axis=-1) != truth[c]).any(axis=(1, 2))
@@ -297,14 +275,6 @@ def equivocation_histogram(equivocations) -> np.ndarray:
     srt = np.sort(eq)
     frac = np.arange(1, eq.size + 1) / eq.size
     return np.column_stack((frac, srt))
-
-
-_SEMILOG_FLOOR = 1e-300
-
-
-def semilog_floor(values) -> np.ndarray:
-    """Clamp values from below so they survive a log-scale axis."""
-    return np.maximum(np.asarray(values, dtype=np.float64), _SEMILOG_FLOOR)
 
 
 def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:

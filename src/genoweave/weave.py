@@ -80,8 +80,8 @@ def weave_encode(info_bits, code: PolarCode) -> Pool:
         raise ValueError("info_bits must be binary")
     u = np.zeros((length, code.n), dtype=np.uint8)   # frozen positions stay 0
     u[:, code.info_set] = info
-    x = polar_transform(u)            # rows are codewords
-    return Pool(strands=np.ascontiguousarray(x.T))
+    x = polar_transform(u)            # rows are codewords; x.T is C-contiguous
+    return Pool(strands=x.T)
 
 
 def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
@@ -129,9 +129,6 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     step = 0 if mode == "fixed" else (-1 if mode == "push" else 1)
     info_out = np.empty((W, length, code.k), dtype=np.uint8)
     history = np.empty((W, length, n), dtype=np.int64) if trace else None
-    if W == 0:  # nothing to decode
-        return BatchDecodeResult(info_bits=info_out, offsets=np.zeros((0, n), dtype=np.int64),
-                                 offset_history=history)
 
     # Everything per position is (n, W), the kernel's layout.  Symbol p of
     # strand (w, s) is at flat index p W n + w n + s of the position-major

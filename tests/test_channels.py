@@ -320,6 +320,7 @@ def test_delete_pool_coincident_shares_the_kept_set():
     (obs_r, len_r), (obs_i, len_i) = delete_pool_coincident(real, imag, 0.2,
                                                             np.random.default_rng(3))
     assert (len_r == len_i).all()
+    assert ((obs_r == ERASURE) == (obs_i == ERASURE)).all()
     for k, sent in enumerate(strands):
         got = quaternary_merge(obs_r[k, :len_r[k]], obs_i[k, :len_i[k]])
         # whole letters disappear: the merged residue is a letter subsequence

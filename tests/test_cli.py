@@ -185,17 +185,22 @@ def test_figures_concat_families(capsys):
 
 def test_figures_equiv_fractions(capsys):
     code, out = _run(capsys, "figures", "--which", "equiv", "--ns", "16",
-                     "--samples", "60", "--seed", "2")
+                     "--deltas", "0,1%", "--samples", "60", "--seed", "2")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "# seed=2"
+    assert lines[1] == "n,delta,fraction,equivocation,floored"
     rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == 16
+    assert len(rows) == 32
+    noiseless, rows = rows[:16], rows[16:]
+    # the floored column clamps from below so that it survives a log axis
+    assert {(r[3], r[4]) for r in noiseless} == {("0.0", "1e-300")}
     fracs = [float(r[2]) for r in rows]
     assert fracs[0] == pytest.approx(1 / 16)
     assert fracs[-1] == pytest.approx(1.0)
     eqs = [float(r[3]) for r in rows]
     assert eqs == sorted(eqs)
+    assert [float(r[4]) for r in rows] == [max(eq, 1e-300) for eq in eqs]
 
 
 def test_figures_all2_series(capsys):

@@ -262,9 +262,9 @@ def test_construction_window_bounds_blocks_ahead_of_the_sums(monkeypatch):
             leads.append(max(started) - self.start)
             return iter(self.rows)
 
-    def traced(n, delta, seed, table, work, start, c):
+    def traced(n, delta, seed, table, start, c):
         started.append(start)
-        return SlowRows(start, genie_block(n, delta, seed, table, work, start, c))
+        return SlowRows(start, genie_block(n, delta, seed, table, start, c))
 
     monkeypatch.setattr(polar, "_genie_block", traced)
     got = _run_joined(lambda: equivocation_stats(64, 0.05, samples=samples, seed=11))

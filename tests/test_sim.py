@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from genoweave import sim
+from genoweave.channels import ERASURE
 from genoweave.polar import make_polar_code
 from genoweave.rates import capacity
 from genoweave.sim import (
@@ -20,7 +21,6 @@ from genoweave.sim import (
     run_construction_sweep,
     run_pool_experiment,
     run_quaternary_pool_experiment,
-    semilog_floor,
 )
 
 SMALL = dict(n=64, delta_list=(0.02,), error_kind="deletion", pools=40,
@@ -58,18 +58,19 @@ def test_derive_seed_distinguishes_close_floats():
 
 
 def test_construction_sweep_noiseless_rate_one():
-    points = run_construction_sweep(ExperimentConfig(
+    (code, cseed), = run_construction_sweep(ExperimentConfig(
         n=32, delta_list=(0.0,), construction_samples=50, master_seed=0))
-    assert points[0].code_rate == 1.0
-    assert points[0].equivocations.tolist() == [0.0] * 32
+    assert (code.n, code.design_delta, code.rate) == (32, 0.0, 1.0)
+    assert code.equivocations.tolist() == [0.0] * 32
+    assert cseed == derive_seed(0, "construct", 32, 0.0)
 
 
 def test_construction_rate_below_capacity_at_small_n():
     # far from asymptotic: the conservative threshold stays under capacity
     for n, delta in ((64, 0.05), (256, 0.01)):
-        points = run_construction_sweep(ExperimentConfig(
+        (code, _), = run_construction_sweep(ExperimentConfig(
             n=n, delta_list=(delta,), construction_samples=500, master_seed=2))
-        assert points[0].code_rate < capacity(2, delta)
+        assert code.rate < capacity(2, delta)
 
 
 def test_construction_sweep_is_deterministic():
@@ -77,9 +78,12 @@ def test_construction_sweep_is_deterministic():
                            construction_samples=150, master_seed=9)
     a = run_construction_sweep(cfg)
     b = run_construction_sweep(cfg)
-    for pa, pb in zip(a, b):
-        assert pa.code_rate == pb.code_rate
-        assert (pa.equivocations == pb.equivocations).all()
+    assert [code.design_delta for code, _ in a] == [0.01, 0.05]
+    for (ca, sa), (cb, sb) in zip(a, b):
+        assert sa == sb
+        assert ca.rate == cb.rate
+        assert (ca.info_set == cb.info_set).all()
+        assert (ca.equivocations == cb.equivocations).all()
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +188,40 @@ def test_replay_reproduces_quaternary_failures():
     assert (truth == decoded).all()
 
 
-def test_packed_planes_hold_every_symbol():
+def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
     # failed-pool lists hardly depend on reads of erasure padding, so a
-    # plane that lost erasures would not show there: check the format itself
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 4, 64):
-        sym = rng.integers(0, 3, size=(5, n, STRAND_LENGTH), dtype=np.uint8)
-        planes = np.empty((2, STRAND_LENGTH, 5, (n + 7) // 8), dtype=np.uint8)
-        for b, pool in enumerate(sym):
-            sim._pack_planes(pool, planes[:, :, b])
-        out = np.empty((STRAND_LENGTH, 5, n), dtype=np.uint8)
-        sim._unpack_planes(planes, out)
-        assert (out == sym.transpose(2, 0, 1)).all()
+    # waiting component that lost its erasures would not show there: check
+    # what each decode is handed against the pools' own observations.  n=4
+    # pads the strand axis when the imag component is packed, and needs a
+    # loose threshold to keep k > 0; batches of 4 leave a last batch of 1.
+    calls = []
+    decode = sim.decode_pool_batch
+
+    def recording(obs, *args):
+        calls.append(np.array(obs))
+        return decode(obs, *args)
+
+    monkeypatch.setattr(sim, "decode_pool_batch", recording)
+    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools: 4)
+    for n in (4, 64):
+        cfg = ExperimentConfig(n=n, delta_list=(0.05,), error_kind="deletion", pools=9,
+                               construction_samples=100, master_seed=3,
+                               threshold_scale=200.0)
+        code = sim._construct(cfg, 0.05)[0]
+        calls.clear()
+        (row,) = run_quaternary_pool_experiment(cfg, codes={0.05: code})
+        want = np.stack([sim._generate_pool(np.random.default_rng([row.cell_seed, i]),
+                                            code, "quaternary", 0.05)[1]
+                         for i in range(cfg.pools)])
+        assert (want == ERASURE).any() and (want[:, 1] != want[:, 0]).any()
+        assert len(calls) == 6  # real then imag, for each of 3 batches
+        for c in range(2):
+            assert (np.concatenate(calls[c::2]) == want[:, c]).all()
 
 
 def test_quaternary_cell_holds_one_unpacked_component():
     # A batch must hold the component being decoded, unpacked (256 x pools x n
-    # bytes); the waiting component as two bit planes packed along strands;
+    # bytes); the waiting component as one bit plane packed along strands;
     # both components' truth bits packed along k; and the decoded info bits
     # (pools x 256 x k bytes).  The bound allows one more unpacked component
     # for what works beside them: the pool being generated, the decoder's
@@ -213,7 +234,7 @@ def test_quaternary_cell_holds_one_unpacked_component():
                            construction_samples=200, master_seed=1)
     code = sim._construct(cfg, 0.01)[0]
     component = STRAND_LENGTH * pools * n
-    held = (component + 2 * STRAND_LENGTH * pools * (n // 8)
+    held = (component + STRAND_LENGTH * pools * (n // 8)
             + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8) + pools * STRAND_LENGTH * code.k)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -272,12 +293,6 @@ def test_equivocation_histogram_sorted_pairs():
     assert hist.shape == (4, 2)
     assert hist[:, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
     assert hist[:, 1].tolist() == [0.0, 0.1, 0.5, 0.9]
-
-
-def test_semilog_floor():
-    vals = np.array([0.0, 1e-310, 0.25])
-    out = semilog_floor(vals)
-    assert out.tolist() == [1e-300, 1e-300, 0.25]
 
 
 def test_results_csv_format():
