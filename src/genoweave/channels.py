@@ -14,7 +14,6 @@ both parts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .polar import _is_binary
 __all__ = [
     "ERASURE",
     "ChannelSpec",
-    "llr_table",
     "quaternary_split",
     "quaternary_merge",
     "delete_pool",
@@ -34,22 +32,6 @@ __all__ = [
 ]
 
 ERASURE = 2
-
-CHANNEL_KINDS = ("substitution", "deletion", "insertion")
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Which error process acts on strands, and at what per-symbol rate."""
-
-    kind: str
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {CHANNEL_KINDS}")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"error rate must lie in [0, 1), got {self.delta}")
 
 
 def _check_strand(strand) -> np.ndarray:
@@ -62,39 +44,18 @@ def _check_strand(strand) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# log-likelihood ratios
-
-
-def _check_llr_delta(delta_model: float) -> float:
-    if not 0.0 < delta_model < 0.5:
-        raise ValueError(f"LLR model crossover must lie in (0, 1/2), got {delta_model}")
-    return float(delta_model)
-
-
-def llr_table(delta_model: float) -> np.ndarray:
-    """LLRs indexed by symbol value: [LLR(0), LLR(1), LLR(erasure)]."""
-    l0 = math.log((1.0 - _check_llr_delta(delta_model)) / delta_model)
-    return np.array([l0, -l0, 0.0])
-
-
-# ---------------------------------------------------------------------------
 # quaternary letters
 
-_LETTERS = "ACGT"
-# A=(0,0) C=(1,0) G=(0,1) T=(1,1) as (real, imag); real is the low bit
-_REAL = {"A": 0, "C": 1, "G": 0, "T": 1}
-_IMAG = {"A": 0, "C": 0, "G": 1, "T": 1}
+_LETTERS = ("A", "C", "G", "T")  # letter code c = real + 2 * imag, so C=(1,0) and G=(0,1)
 
 
-def quaternary_split(strand) -> tuple[np.ndarray, np.ndarray]:
+def quaternary_split(strand: str) -> tuple[np.ndarray, np.ndarray]:
     """Split an ACGT strand into its (real, imag) binary component strands."""
-    letters = list(strand)
-    bad = [c for c in letters if c not in _REAL]
+    bad = [c for c in strand if c not in _LETTERS]
     if bad:
         raise ValueError(f"strand contains non-ACGT letters: {bad[:5]}")
-    real = np.array([_REAL[c] for c in letters], dtype=np.uint8)
-    imag = np.array([_IMAG[c] for c in letters], dtype=np.uint8)
-    return real, imag
+    codes = np.array([_LETTERS.index(c) for c in strand], dtype=np.uint8)
+    return codes & 1, codes >> 1
 
 
 def quaternary_merge(real, imag) -> str:
@@ -110,7 +71,13 @@ def quaternary_merge(real, imag) -> str:
 # whole-pool channels (vectorized; one RNG draw pattern per pool)
 
 
-def _check_pool(pool) -> np.ndarray:
+def _check_rate(delta: float) -> None:
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"error rate must lie in [0, 1), got {delta}")
+
+
+def _check_pool(pool, delta: float) -> np.ndarray:
+    _check_rate(delta)
     p = np.asarray(pool)
     if p.ndim != 2:
         raise ValueError("pool must be a (strands, length) matrix")
@@ -132,27 +99,21 @@ def _compact_rows(values: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, 
 
 def bsc_pool(pool, delta: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Substitution channel on every strand of a pool. Returns (obs, lengths)."""
-    p = _check_pool(pool)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"crossover must lie in [0, 1), got {delta}")
+    p = _check_pool(pool, delta)
     flips = (rng.random(p.shape) < delta).astype(np.uint8)
     return p ^ flips, np.full(p.shape[0], p.shape[1], dtype=np.int64)
 
 
 def delete_pool(pool, delta: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Deletion channel on every strand. obs keeps the pool width, erasure-padded."""
-    p = _check_pool(pool)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"deletion rate must lie in [0, 1), got {delta}")
+    p = _check_pool(pool, delta)
     keep = rng.random(p.shape) >= delta
     return _compact_rows(p, keep)
 
 
 def insert_pool(pool, delta: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Insertion channel on every strand. obs is twice the pool width."""
-    p = _check_pool(pool)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"insertion rate must lie in [0, 1), got {delta}")
+    p = _check_pool(pool, delta)
     n, length = p.shape
     ins = rng.random(p.shape) < delta
     bits = rng.integers(0, 2, size=p.shape, dtype=np.uint8)
@@ -172,22 +133,31 @@ def delete_pool_coincident(real_pool, imag_pool, delta: float, rng: np.random.Ge
     One kept-set per strand is drawn and applied to both parts, because a
     dropped letter takes both of its bits with it.
     """
-    r = _check_pool(real_pool)
-    i = _check_pool(imag_pool)
+    r, i = (_check_pool(part, delta) for part in (real_pool, imag_pool))
     if r.shape != i.shape:
         raise ValueError(f"component pool shapes differ: {r.shape} vs {i.shape}")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"deletion rate must lie in [0, 1), got {delta}")
     keep = rng.random(r.shape) >= delta
     return _compact_rows(r, keep), _compact_rows(i, keep)
+
+
+_CHANNELS = {"substitution": bsc_pool, "deletion": delete_pool, "insertion": insert_pool}
+CHANNEL_KINDS = tuple(_CHANNELS)
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """Which error process acts on strands, and at what per-symbol rate."""
+
+    kind: str
+    delta: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in CHANNEL_KINDS:
+            raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {CHANNEL_KINDS}")
+        _check_rate(self.delta)
 
 
 def apply_channel_pool(pool, spec: ChannelSpec, rng: np.random.Generator
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch on spec.kind. Returns (obs matrix, raw lengths)."""
-    if spec.kind == "substitution":
-        return bsc_pool(pool, spec.delta, rng)
-    if spec.kind == "deletion":
-        return delete_pool(pool, spec.delta, rng)
-    return insert_pool(pool, spec.delta, rng)
-
+    return _CHANNELS[spec.kind](pool, spec.delta, rng)

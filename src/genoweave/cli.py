@@ -37,12 +37,19 @@ def parse_delta(text: str) -> float:
     return value
 
 
+def _parse_list(text: str, parse) -> tuple:
+    values = tuple(parse(part) for part in text.split(",") if part.strip())
+    if not values:  # an empty list would write a header-only CSV and report success
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return values
+
+
 def _parse_delta_list(text: str) -> tuple[float, ...]:
-    return tuple(parse_delta(part) for part in text.split(",") if part.strip())
+    return _parse_list(text, parse_delta)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return _parse_list(text, int)
 
 
 def _delta_grid(points: int) -> np.ndarray:
@@ -187,20 +194,10 @@ def _figure_all(args: argparse.Namespace, q: int) -> str:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     _check_grid(args)
-    which = args.which
-    if which == "scalar":
-        text = _figure_scalar(args)
-    elif which == "concat2":
-        text = _figure_concat(args, 2)
-    elif which == "concat4":
-        text = _figure_concat(args, 4)
-    elif which == "equiv":
-        text = _figure_equiv(args)
-    elif which == "all2":
-        text = _figure_all(args, 2)
-    else:
-        text = _figure_all(args, 4)
-    _write(args.out, text)
+    figure = {"scalar": _figure_scalar, "equiv": _figure_equiv,
+              "concat2": lambda a: _figure_concat(a, 2), "all2": lambda a: _figure_all(a, 2),
+              "concat4": lambda a: _figure_concat(a, 4), "all4": lambda a: _figure_all(a, 4)}
+    _write(args.out, figure[args.which](args))
     return 0
 
 

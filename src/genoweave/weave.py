@@ -16,11 +16,12 @@ kernel's (strands, pools) layout, so no array is transposed per position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ERASURE, llr_table
+from .channels import ERASURE
 from .polar import PolarCode, _is_binary, polar_transform, sc_decode_batch
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "decode_pool_batch",
 ]
 
-DECODE_MODES = ("push", "pull", "fixed")
+_STEP = {"push": -1, "pull": 1, "fixed": 0}  # read-index move per contradicted symbol
 
 # Under a noiseless (delta = 0) design a symbol is certain; SC takes finite
 # LLRs, so certainty is +-CERTAIN_LLR.  With no errors every node LLR has its
@@ -36,6 +37,14 @@ DECODE_MODES = ("push", "pull", "fixed")
 # >= a - ln 2: above 6.33 at depth 63, past any n an int64 index reaches.
 # From 1 it would reach 0 at depth 6, n = 64, and decode wrongly.
 CERTAIN_LLR = 50.0
+
+
+def _llr_table(delta: float) -> np.ndarray:
+    """The decoder's BSC(delta) model, indexed by symbol: [LLR(0), LLR(1), LLR(erasure)]."""
+    if not 0.0 <= delta < 0.5:
+        raise ValueError(f"LLR model crossover must lie in [0, 1/2), got {delta}")
+    certain = CERTAIN_LLR if delta == 0.0 else math.log((1.0 - delta) / delta)
+    return np.array([certain, -certain, 0.0])
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,9 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     re-estimate it.  With trace, offset_history records the offsets
     entering each position.
     """
-    if mode not in DECODE_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {DECODE_MODES}")
+    step = _STEP.get(mode)
+    if step is None:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(_STEP)}")
     obs = np.asarray(obs)
     if obs.ndim != 3 or obs.shape[1] != code.n:
         raise ValueError(f"expected obs shape (W, {code.n}, width), got {obs.shape}")
@@ -120,13 +130,11 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     # An offset grows by at most 1 per position, so entering position p it
     # lies in [0, p]: push reads index p - d in [0, p] and pull reads p + i in
     # [p, 2p].  This check therefore keeps every read inside its strand.
-    need = length if mode in ("push", "fixed") else 2 * length
+    need = 2 * length if step > 0 else length
     if width < need:
         raise ValueError(f"observation width {width} too small for {mode} over {length} positions")
-    delta = code.design_delta
-    table = np.array([CERTAIN_LLR, -CERTAIN_LLR, 0.0]) if delta == 0.0 else llr_table(delta)
+    table = _llr_table(code.design_delta)
 
-    step = 0 if mode == "fixed" else (-1 if mode == "push" else 1)
     info_out = np.empty((W, length, code.k), dtype=np.uint8)
     history = np.empty((W, length, n), dtype=np.int64) if trace else None
 

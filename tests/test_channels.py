@@ -14,7 +14,6 @@ from genoweave.channels import (
     delete_pool,
     delete_pool_coincident,
     insert_pool,
-    llr_table,
     quaternary_merge,
     quaternary_split,
 )
@@ -193,42 +192,6 @@ def test_deletion_length_distribution_chi_square():
 
 
 # ---------------------------------------------------------------------------
-# LLRs
-
-
-def test_llr_known_value():
-    assert llr_table(0.01)[0] == pytest.approx(math.log(99.0), rel=1e-14)
-
-
-def test_llr_sign_symmetry_and_erasure():
-    for delta in (0.001, 0.01, 0.1, 0.4999):
-        t = llr_table(delta)
-        assert t[0] == -t[1]
-        assert t[ERASURE] == 0.0
-    assert llr_table(0.4999)[0] == pytest.approx(0.0, abs=1e-3)
-
-
-def test_llr_table_layout():
-    t = llr_table(0.01)
-    assert t.tolist() == [math.log(0.99 / 0.01), -math.log(0.99 / 0.01), 0.0]
-
-
-def test_llr_rejects_out_of_domain():
-    for bad in (0.0, 0.5, 0.7, -0.1):
-        with pytest.raises(ValueError):
-            llr_table(bad)
-
-
-def test_symbols_to_llrs_vectorized():
-    # the decoder maps observed symbols of any shape through the table
-    sym = np.array([[0, 1], [ERASURE, 0]], dtype=np.uint8)
-    out = llr_table(0.1)[sym]
-    assert out.shape == (2, 2)
-    assert out[0, 0] == llr_table(0.1)[0] == -out[0, 1]
-    assert out[1, 0] == 0.0
-
-
-# ---------------------------------------------------------------------------
 # quaternary decomposition
 
 
@@ -268,8 +231,10 @@ def test_quaternary_merge_then_split_roundtrip():
 
 
 def test_quaternary_split_rejects_other_letters():
-    with pytest.raises(ValueError):
-        quaternary_split("ACGU")
+    # each item must be exactly one letter
+    for strand in ("ACGU", ["AC", "G"], [""]):
+        with pytest.raises(ValueError):
+            quaternary_split(strand)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +368,25 @@ def test_channel_spec_validation():
         ChannelSpec("duplication", 0.1)
     with pytest.raises(ValueError):
         ChannelSpec("deletion", 1.0)
+
+
+_BITS = np.zeros((2, 4), dtype=np.uint8)
+_RATE_TAKERS = {
+    "bsc_pool": lambda d: bsc_pool(_BITS, d, np.random.default_rng(0)),
+    "delete_pool": lambda d: delete_pool(_BITS, d, np.random.default_rng(0)),
+    "insert_pool": lambda d: insert_pool(_BITS, d, np.random.default_rng(0)),
+    "delete_pool_coincident": lambda d: delete_pool_coincident(_BITS, _BITS, d,
+                                                               np.random.default_rng(0)),
+    "ChannelSpec": lambda d: ChannelSpec("deletion", d),
+}
+
+
+@pytest.mark.parametrize("delta", [-0.1, 1.0, math.nan])
+@pytest.mark.parametrize("taker", list(_RATE_TAKERS))
+def test_every_rate_taker_rejects_rates_outside_zero_one(taker, delta):
+    # one check guards [0, 1) for every channel; NaN fails it like any rate outside
+    with pytest.raises(ValueError, match=r"error rate must lie in \[0, 1\)"):
+        _RATE_TAKERS[taker](delta)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,13 @@ def test_usage_errors_exit_two(capsys):
         assert main([*cmd, "--grid-points", "0"]) == 2
         assert main([*cmd, "--dmax", "-1"]) == 2
         assert capsys.readouterr().out == ""
+    for flag in ("--ns", "--deltas"):
+        # an empty list would print a header-only CSV and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--which", "equiv", flag, ","])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "expected a comma-separated list" in err
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2

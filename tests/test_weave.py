@@ -15,7 +15,7 @@ from genoweave.channels import (
     insert_pool,
 )
 from genoweave.polar import design_polar_code, make_polar_code, polar_transform
-from genoweave.weave import CERTAIN_LLR, Pool, decode_pool_batch, weave_encode
+from genoweave.weave import CERTAIN_LLR, Pool, _llr_table, decode_pool_batch, weave_encode
 
 
 def _full_rate_code(n):
@@ -77,6 +77,54 @@ def test_encode_rejects_wrong_width():
     code = design_polar_code(16, 0.05, samples=100, seed=0)
     with pytest.raises(ValueError):
         weave_encode(np.zeros((4, code.k + 1), dtype=np.uint8), code)
+
+
+# ---------------------------------------------------------------------------
+# the decoder's LLR model
+
+
+def test_llr_known_value():
+    assert _llr_table(0.01)[0] == pytest.approx(math.log(99.0), rel=1e-14)
+
+
+def test_llr_sign_symmetry_and_erasure():
+    for delta in (0.001, 0.01, 0.1, 0.4999):
+        t = _llr_table(delta)
+        assert t[0] == -t[1]
+        assert t[ERASURE] == 0.0
+    assert _llr_table(0.4999)[0] == pytest.approx(0.0, abs=1e-3)
+
+
+def test_llr_table_layout():
+    t = _llr_table(0.01)
+    assert t.tolist() == [math.log(0.99 / 0.01), -math.log(0.99 / 0.01), 0.0]
+
+
+def test_llr_noiseless_design_is_certain():
+    assert _llr_table(0.0).tolist() == [CERTAIN_LLR, -CERTAIN_LLR, 0.0]
+
+
+def test_llr_rejects_out_of_domain():
+    for bad in (0.5, 0.7, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            _llr_table(bad)
+
+
+def test_decoding_a_half_crossover_design_raises():
+    # a PolarCode takes design_delta = 1/2, but BSC(1/2) carries no
+    # information, so the decoder has no LLR model for it
+    code = make_polar_code(4, 0.5, np.zeros(4))
+    with pytest.raises(ValueError, match="crossover"):
+        decode_pool_batch(np.zeros((1, 4, 4), dtype=np.uint8), code, "fixed", 4)
+
+
+def test_symbols_to_llrs_vectorized():
+    # the decoder maps observed symbols of any shape through the table
+    sym = np.array([[0, 1], [ERASURE, 0]], dtype=np.uint8)
+    out = _llr_table(0.1)[sym]
+    assert out.shape == (2, 2)
+    assert out[0, 0] == _llr_table(0.1)[0] == -out[0, 1]
+    assert out[1, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
