@@ -141,7 +141,6 @@ def delete_pool_coincident(real_pool, imag_pool, delta: float, rng: np.random.Ge
 
 
 _CHANNELS = {"substitution": bsc_pool, "deletion": delete_pool, "insertion": insert_pool}
-CHANNEL_KINDS = tuple(_CHANNELS)
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,8 @@ class ChannelSpec:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {CHANNEL_KINDS}")
+        if self.kind not in _CHANNELS:
+            raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {tuple(_CHANNELS)}")
         _check_rate(self.delta)
 
 

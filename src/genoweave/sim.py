@@ -5,10 +5,16 @@ the construction for (n, delta) uses seed derive(master, "construct", n,
 delta); pool i of a cell uses stream (derive(master, "pools", kind, n,
 delta), i).  Pools decode in lock step in batches as wide as a memory
 rule allows, purely for vector width, so failure counts are bit-identical
-whatever the batch size.  A batch holds one component's observations
-unpacked, position-major (the order the decoder reads, so they reach it
-without a copy): the component being decoded.  The info bits to check
-against are held as packed bits.  A quaternary pool's imag component
+whatever the batch size.
+
+ERROR_KINDS lists the four experiment kinds, and this module is the one
+place that knows them: substitution, deletion and insertion pools are one
+binary component each; a quaternary pool is a (real, imag) pair that
+loses the same indices to one deletion pattern.  Every kind runs through
+run_pool_experiment.  A batch holds one component's observations unpacked,
+position-major (the order the decoder reads, so they reach it without a
+copy): the component being decoded.  The info bits to check against are
+held as packed bits.  A quaternary pool's imag component
 waits while the real one decodes as one packed bit plane: a deletion
 takes a whole letter, so the imag component is erased exactly where the
 real one is and takes its erasures from it.
@@ -27,13 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (CHANNEL_KINDS, ERASURE, ChannelSpec, apply_channel_pool,
-                       delete_pool_coincident)
+from .channels import ERASURE, ChannelSpec, apply_channel_pool, delete_pool_coincident
 from .polar import PolarCode, design_polar_code
 from .weave import decode_pool_batch, weave_encode
 
 __all__ = [
     "STRAND_LENGTH",
+    "ERROR_KINDS",
     "ExperimentConfig",
     "derive_seed",
     "run_construction_sweep",
@@ -45,8 +51,10 @@ __all__ = [
 
 STRAND_LENGTH = 256
 
-_MODE_OF_KIND = {"deletion": "push", "insertion": "pull", "substitution": "fixed",
-                 "quaternary": "push"}
+# each kind's decoder mode and its binary components per pool
+_KINDS = {"deletion": ("push", 1), "insertion": ("pull", 1), "substitution": ("fixed", 1),
+          "quaternary": ("push", 2)}
+ERROR_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
-        if self.error_kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown error kind {self.error_kind!r}")
+        if self.error_kind not in _KINDS:
+            raise ValueError(f"unknown error kind {self.error_kind!r}, expected one of {ERROR_KINDS}")
         deltas = tuple(float(d) for d in self.delta_list)
         if not deltas:
             raise ValueError("need at least one error rate")
@@ -155,24 +163,20 @@ def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: 
     the binary kinds, the (real, imag) pair for quaternary, whose parts
     share one kept-set per strand.
     """
-    if kind == "quaternary":
-        info = np.stack([rng.integers(0, 2, size=(STRAND_LENGTH, code.k), dtype=np.uint8)
-                         for _ in range(2)])
-        pool_r, pool_i = (weave_encode(part, code) for part in info)
-        parts = delete_pool_coincident(pool_r.strands, pool_i.strands, delta, rng)
-        return info, np.stack([obs for obs, _ in parts])
-    info = rng.integers(0, 2, size=(STRAND_LENGTH, code.k), dtype=np.uint8)
-    pool = weave_encode(info, code)
-    obs, _ = apply_channel_pool(pool.strands, ChannelSpec(kind=kind, delta=delta), rng)
-    return info[None], obs[None]
+    info = rng.integers(0, 2, size=(_KINDS[kind][1], STRAND_LENGTH, code.k), dtype=np.uint8)
+    strands = [weave_encode(part, code).strands for part in info]
+    if len(strands) == 2:
+        parts = delete_pool_coincident(*strands, delta, rng)
+    else:
+        parts = [apply_channel_pool(strands[0], ChannelSpec(kind=kind, delta=delta), rng)]
+    return info, np.stack([obs for obs, _ in parts])
 
 
 def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
     # Each component decodes as its own batch of pools; a pool fails when
     # any decoded info bit of any component differs from the truth.
-    mode = _MODE_OF_KIND[kind]
-    parts = 2 if kind == "quaternary" else 1
+    mode, parts = _KINDS[kind]
     width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
     results = []
     for delta in config.delta_list:
@@ -225,8 +229,9 @@ def run_pool_experiment(config: ExperimentConfig,
                         ) -> list[ExperimentResult]:
     """Count decoding failures over many independent pools per (n, delta).
 
-    A pool counts as failed when any decoded info bit differs from the
-    truth.  Codes are constructed per delta unless supplied in codes.
+    Runs any of ERROR_KINDS.  A pool counts as failed when any decoded info
+    bit of any component differs from the truth.  Codes are constructed
+    per delta unless supplied in codes.
     """
     return _run_cells(config, codes, config.error_kind)
 
@@ -237,10 +242,11 @@ def run_quaternary_pool_experiment(config: ExperimentConfig,
     """Deletion-channel failure counts for quaternary pools.
 
     Each pool is a pair of binary component pools sharing one deletion
-    pattern per strand; the pool fails when either part fails.  Rows carry
-    error_kind "quaternary".
+    pattern per strand; the pool fails when either part fails.  config's
+    error_kind is "quaternary" or "deletion", the channel the pairs pass
+    through; rows carry error_kind "quaternary" either way.
     """
-    if config.error_kind != "deletion":
+    if config.error_kind not in ("deletion", "quaternary"):
         raise ValueError("quaternary pools run on the deletion channel")
     return _run_cells(config, codes, "quaternary")
 
@@ -255,7 +261,7 @@ def replay_pool(code: PolarCode, error_kind: str, delta: float, cell_seed: int,
     """
     rng = np.random.default_rng([cell_seed, pool_index])
     truth, obs = _generate_pool(rng, code, error_kind, delta)
-    res = decode_pool_batch(obs, code, _MODE_OF_KIND[error_kind], STRAND_LENGTH)
+    res = decode_pool_batch(obs, code, _KINDS[error_kind][0], STRAND_LENGTH)
     return truth, res.info_bits
 
 

@@ -51,17 +51,7 @@ def _llr_table(delta: float) -> np.ndarray:
 class Pool:
     """n strands by strand-length matrix of bits; column p is a polar codeword."""
 
-    strands: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.strands)
-        if s.ndim != 2 or s.size == 0:
-            raise ValueError("pool must be a nonempty (strands, length) matrix")
-        if not _is_binary(s):
-            raise ValueError("pool must be binary")
-        s = s.astype(np.uint8)  # a copy, so freezing it leaves the caller's array alone
-        s.setflags(write=False)
-        object.__setattr__(self, "strands", s)
+    strands: np.ndarray = field(repr=False)  # read-only, C-contiguous uint8
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,9 @@ def weave_encode(info_bits, code: PolarCode) -> Pool:
         raise ValueError("info_bits must be binary")
     u = np.zeros((length, code.n), dtype=np.uint8)   # frozen positions stay 0
     u[:, code.info_set] = info
-    x = polar_transform(u)            # rows are codewords; x.T is C-contiguous
-    return Pool(strands=x.T)
+    strands = polar_transform(u).T   # rows of the transform are codewords; .T is C-contiguous
+    strands.setflags(write=False)
+    return Pool(strands=strands)
 
 
 def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,

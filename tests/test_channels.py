@@ -335,6 +335,50 @@ def test_pool_channels_match_argsort_compaction():
                      _compact_rows_by_argsort(values, present))
 
 
+def _compact_by_list(rows, width):
+    """Python-list reference: each row's surviving symbols in order, then erasures."""
+    obs = [row + [ERASURE] * (width - len(row)) for row in rows]
+    return (np.array(obs, dtype=np.uint8).reshape(len(rows), width),
+            np.array([len(row) for row in rows], dtype=np.int64))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01, 0.3])
+def test_pool_channels_match_python_list_compaction(delta):
+    # the kept and inserted draws replayed from each channel's seed, applied
+    # to each row symbol by symbol with Python lists
+    rng = np.random.default_rng(25)
+    for shape in ((1, 1), (1, 64), (7, 33), (16, 256)):
+        pool = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        imag = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        seed = int(rng.integers(1 << 32))
+
+        keep = (np.random.default_rng(seed).random(shape) >= delta).tolist()
+
+        def kept(values):
+            return [[v for v, k in zip(row, ks) if k] for row, ks in zip(values.tolist(), keep)]
+
+        _same_output(delete_pool(pool, delta, np.random.default_rng(seed)),
+                     _compact_by_list(kept(pool), shape[1]))
+        real_out, imag_out = delete_pool_coincident(pool, imag, delta,
+                                                    np.random.default_rng(seed))
+        _same_output(real_out, _compact_by_list(kept(pool), shape[1]))
+        _same_output(imag_out, _compact_by_list(kept(imag), shape[1]))
+
+        draws = np.random.default_rng(seed)
+        ins = (draws.random(shape) < delta).tolist()
+        bits = draws.integers(0, 2, size=shape, dtype=np.uint8).tolist()
+        grown = []
+        for sent, coins, extra in zip(pool.tolist(), ins, bits):
+            row = []
+            for symbol, coin, bit in zip(sent, coins, extra):
+                if coin:  # the inserted bit lands just before its symbol
+                    row.append(bit)
+                row.append(symbol)
+            grown.append(row)
+        _same_output(insert_pool(pool, delta, np.random.default_rng(seed)),
+                     _compact_by_list(grown, 2 * shape[1]))
+
+
 @pytest.mark.parametrize("bad", [0.5, 256, 257])
 def test_channels_reject_values_a_uint8_cast_would_hide(bad):
     # 0.5 and 256 cast to 0 and 257 to 1, so the check must see the raw values
@@ -364,7 +408,7 @@ def test_apply_channel_pool_dispatch_matches_components():
 
 
 def test_channel_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected one of"):
         ChannelSpec("duplication", 0.1)
     with pytest.raises(ValueError):
         ChannelSpec("deletion", 1.0)

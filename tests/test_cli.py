@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from genoweave import sim
 from genoweave.cli import main, parse_delta
 from genoweave.polar import equivocation_stats, read_equivocations_csv
 
@@ -121,6 +122,32 @@ def test_simulate_quaternary_kind(capsys):
     assert ",quaternary," in out.strip().split("\n")[2]
 
 
+def test_simulate_runs_one_entry_point_once_per_kind(monkeypatch, capsys):
+    # both entry points wrapped by name, as a profiler or a row capture wraps
+    # them: an entry point that called the other through the module would
+    # show each row twice
+    calls = []
+
+    def keep(name, fn):
+        def wrapper(*args, **kwargs):
+            rows = fn(*args, **kwargs)
+            calls.extend((name, row) for row in rows)
+            return rows
+        return wrapper
+
+    for name in ("run_pool_experiment", "run_quaternary_pool_experiment"):
+        monkeypatch.setattr(sim, name, keep(name, getattr(sim, name)))
+    for kind in sim.ERROR_KINDS:
+        calls.clear()
+        code, out = _run(capsys, "simulate", "--n", "16", "--delta", "5%", "--errors", kind,
+                         "--pools", "3", "--samples", "50", "--seed", "2")
+        assert code == 0
+        (name, row), = calls
+        assert row.error_kind == kind and f",{kind}," in out.strip().split("\n")[2]
+        assert name == ("run_quaternary_pool_experiment" if kind == "quaternary"
+                        else "run_pool_experiment")
+
+
 def test_simulate_code_file_must_match_n(tmp_path, capsys):
     eq = tmp_path / "eq.csv"
     _run(capsys, "construct", "--n", "16", "--delta", "1%",
@@ -237,6 +264,9 @@ def test_usage_errors_exit_two(capsys):
         assert main([*cmd, "--grid-points", "0"]) == 2
         assert main([*cmd, "--dmax", "-1"]) == 2
         assert capsys.readouterr().out == ""
+    # the scalar series starts at d = 1, so --dmax 0 leaves it empty
+    assert main(["figures", "--which", "scalar", "--dmax", "0"]) == 2
+    assert capsys.readouterr().out == ""
     for flag in ("--ns", "--deltas"):
         # an empty list would print a header-only CSV and exit 0
         with pytest.raises(SystemExit) as exc:

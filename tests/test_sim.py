@@ -91,7 +91,7 @@ def test_construction_sweep_is_deterministic():
 
 
 def test_pool_experiment_zero_noise_zero_failures():
-    for kind in ("deletion", "insertion", "substitution"):
+    for kind in sim.ERROR_KINDS:
         rows = run_pool_experiment(ExperimentConfig(
             n=32, delta_list=(0.0,), error_kind=kind, pools=5,
             construction_samples=50, master_seed=3))
@@ -110,21 +110,28 @@ def test_pool_experiment_deterministic():
 def test_pool_experiment_batch_size_invariant(monkeypatch):
     # n=2 and n=4 pad the strand axis when a waiting quaternary component is
     # packed; n=2 needs a looser threshold and a lower error rate to keep k > 0 and
-    # fail only some of its pools
+    # fail only some of its pools.  run_pool_experiment on a quaternary config
+    # and run_quaternary_pool_experiment on a deletion one run the same cell.
     cells = (SMALL, dict(SMALL, n=4),
              dict(SMALL, n=2, delta_list=(0.001,), threshold_scale=50.0))
-    for run in (run_pool_experiment, run_quaternary_pool_experiment):
-        for cell in cells:
-            cfg = ExperimentConfig(**cell)
-            codes = {cfg.delta_list[0]: sim._construct(cfg, cfg.delta_list[0])[0]}
-            base = run(cfg, codes)
-            assert 0 < base[0].failure_count < cfg.pools, "cell should fail some pools"
-            with monkeypatch.context() as m:
-                for size in (1, 7, 1000):
-                    m.setattr(sim, "_pool_batch_size", lambda n, width, pools, size=size: size)
-                    rows = run(cfg, codes)
-                    assert rows[0].failure_count == base[0].failure_count
-                    assert rows[0].failed_pools == base[0].failed_pools
+
+    def run_all(cfg, codes):
+        quaternary = dataclasses.replace(cfg, error_kind="quaternary")
+        rows = (run_pool_experiment(cfg, codes), run_quaternary_pool_experiment(cfg, codes),
+                run_pool_experiment(quaternary, codes))
+        return [dataclasses.replace(row, wall_time=0.0) for row, in rows]
+
+    for cell in cells:
+        cfg = ExperimentConfig(**cell)
+        codes = {cfg.delta_list[0]: sim._construct(cfg, cfg.delta_list[0])[0]}
+        base = run_all(cfg, codes)
+        assert base[1] == base[2] and base[2].error_kind == "quaternary"
+        for row in base[:2]:
+            assert 0 < row.failure_count < cfg.pools, "cell should fail some pools"
+        with monkeypatch.context() as m:
+            for size in (1, 7, 1000):
+                m.setattr(sim, "_pool_batch_size", lambda n, width, pools, size=size: size)
+                assert run_all(cfg, codes) == base
 
 
 def test_replay_reproduces_recorded_failures():
@@ -247,10 +254,11 @@ def test_quaternary_cell_holds_one_unpacked_component():
 
 
 def test_quaternary_experiment_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        run_quaternary_pool_experiment(ExperimentConfig(
-            n=32, delta_list=(0.01,), error_kind="insertion", pools=2,
-            construction_samples=50, master_seed=0))
+    for kind in ("insertion", "substitution"):
+        with pytest.raises(ValueError):
+            run_quaternary_pool_experiment(ExperimentConfig(
+                n=32, delta_list=(0.01,), error_kind=kind, pools=2,
+                construction_samples=50, master_seed=0))
 
 
 def test_quaternary_uses_its_own_seed_stream():
@@ -267,8 +275,11 @@ def test_config_validation():
         ExperimentConfig(n=48, delta_list=(0.01,))
     with pytest.raises(ValueError):
         ExperimentConfig(n=64, delta_list=(0.6,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected one of .*'quaternary'"):
         ExperimentConfig(n=64, delta_list=(0.01,), error_kind="duplication")
+    assert sim.ERROR_KINDS == ("deletion", "insertion", "substitution", "quaternary")
+    for kind in sim.ERROR_KINDS:
+        assert ExperimentConfig(n=64, delta_list=(0.01,), error_kind=kind).error_kind == kind
     with pytest.raises(ValueError):
         ExperimentConfig(n=64, delta_list=(0.01,), pools=0)
     for scale in (0.0, np.inf):

@@ -15,7 +15,7 @@ from genoweave.channels import (
     insert_pool,
 )
 from genoweave.polar import design_polar_code, make_polar_code, polar_transform
-from genoweave.weave import CERTAIN_LLR, Pool, _llr_table, decode_pool_batch, weave_encode
+from genoweave.weave import CERTAIN_LLR, _llr_table, decode_pool_batch, weave_encode
 
 
 def _full_rate_code(n):
@@ -67,6 +67,9 @@ def test_encode_frozen_constraints_hold_per_column():
     rng = np.random.default_rng(2)
     info = _random_info(rng, 20, code)
     pool = weave_encode(info, code)
+    strands = pool.strands
+    assert strands.dtype == np.uint8 and strands.shape == (32, 20)
+    assert strands.flags.c_contiguous and not strands.flags.writeable
     # invert each column; frozen positions must carry 0
     u = polar_transform(pool.strands.T)
     assert not u[:, code.frozen_mask].any()
@@ -466,15 +469,6 @@ def test_encode_and_pool_reject_values_a_uint8_cast_would_hide(bad):
     bits = np.array([[0, 1, bad, 1]])
     with pytest.raises(ValueError, match="binary"):
         weave_encode(bits, _full_rate_code(4))
-    with pytest.raises(ValueError, match="binary"):
-        Pool(strands=bits)
-
-
-def test_pool_validation():
-    with pytest.raises(ValueError):
-        Pool(strands=np.array([[0, 2]], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Pool(strands=np.zeros((0, 4), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
