@@ -19,7 +19,7 @@ import numpy as np
 from . import rates as rates_mod
 from . import sim
 from .polar import format_equivocations_csv, make_polar_code, read_equivocations_csv
-from .rates import RateFamily, capacity, concat_envelope, concat_rate
+from .rates import RateFamily, capacity, concat_envelope, concat_rates
 from .sim import ExperimentConfig
 
 DEFAULT_DELTAS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
@@ -83,12 +83,15 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
     """delta,d,rate,envelope_rate,envelope_opt_d rows over the delta grid."""
+    grid = _delta_grid(args.grid_points)
+    tables = [concat_rates(fam, float(delta), args.ell) for delta in grid]  # checks --ell
+    if args.dmax > args.ell:  # the slice below would drop those rows silently
+        raise ValueError(f"--dmax must be at most --ell ({args.ell}), got {args.dmax}")
     rows = []
-    for delta in _delta_grid(args.grid_points):
-        env_rate, env_d = concat_envelope(fam, float(delta), args.ell)
-        for d in range(args.dmax + 1):
-            r = concat_rate(fam, float(delta), d, args.ell)
-            rows.append(f"{float(delta)!r},{d},{float(r)!r},{float(env_rate)!r},{env_d}")
+    for delta, rates in zip(grid, tables):
+        env_d = int(np.argmax(rates))  # the envelope: ties go to the smaller d
+        for d, r in enumerate(rates[:args.dmax + 1]):
+            rows.append(f"{float(delta)!r},{d},{float(r)!r},{float(rates[env_d])!r},{env_d}")
     return rows
 
 
@@ -155,17 +158,23 @@ def _figure_concat(args: argparse.Namespace, q: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _figure_equiv(args: argparse.Namespace) -> str:
-    lines = [f"# seed={args.seed}", "n,delta,fraction,equivocation,floored"]
+def _constructed(args: argparse.Namespace, deltas: tuple[float, ...]):
+    """(n, code) for every --ns x deltas pair, one construction sweep per n."""
     for n in args.ns:
-        for delta in args.deltas:
-            (code, _), = sim.run_construction_sweep(ExperimentConfig(
-                n=n, delta_list=(delta,), construction_samples=args.samples,
-                master_seed=args.seed))
-            for frac, eq in sim.equivocation_histogram(code.equivocations):
-                # floored so that it survives a log-scale axis
-                lines.append(f"{n},{float(delta)!r},{float(frac)!r},"
-                             f"{float(eq)!r},{max(float(eq), 1e-300)!r}")
+        for code, _ in sim.run_construction_sweep(ExperimentConfig(
+                n=n, delta_list=deltas, construction_samples=args.samples,
+                master_seed=args.seed)):
+            yield n, code
+
+
+def _figure_equiv(args: argparse.Namespace) -> str:
+    # the sorted equivocation profile: the r-th smallest value at x = r/n
+    lines = [f"# seed={args.seed}", "n,delta,fraction,equivocation,floored"]
+    for n, code in _constructed(args, args.deltas or (0.01,)):
+        for r, eq in enumerate(np.sort(code.equivocations).tolist(), 1):
+            # floored so that it survives a log-scale axis
+            lines.append(f"{n},{float(code.design_delta)!r},{r / n!r},"
+                         f"{eq!r},{max(eq, 1e-300)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,12 +191,8 @@ def _figure_all(args: argparse.Namespace, q: int) -> str:
         for delta in grid:
             env_rate, _ = concat_envelope(fam, float(delta), args.ell)
             lines.append(f"envelope_{family},{float(delta)!r},{float(env_rate)!r}")
-    for n in args.ns:
-        pairs = sim.run_construction_sweep(ExperimentConfig(
-            n=n, delta_list=tuple(args.deltas), construction_samples=args.samples,
-            master_seed=args.seed))
-        for code, _ in pairs:
-            lines.append(f"polar_n{n},{float(code.design_delta)!r},{float(code.rate)!r}")
+    for n, code in _constructed(args, args.deltas or DEFAULT_DELTAS):
+        lines.append(f"polar_n{n},{float(code.design_delta)!r},{float(code.rate)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -260,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "deltas", 0) is None:
-        args.deltas = (0.01,) if args.which == "equiv" else DEFAULT_DELTAS
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -555,14 +555,19 @@ def read_equivocations_csv(path: str) -> np.ndarray:
     with open(path) as fh:
         text = fh.read()
     values: list[float] = []
-    for line in text.splitlines():
+    for row, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("index"):
             continue
-        idx, val = line.split(",")
-        if int(idx) != len(values):
+        try:
+            idx, val = line.split(",")
+            idx, val = int(idx), float(val)
+        except ValueError:
+            raise ValueError(f"{path} row {row}: expected 'index,equivocation', "
+                             f"got {line!r}") from None
+        if idx != len(values):
             raise ValueError(f"row index {idx} out of order")
-        values.append(float(val))
+        values.append(val)
     if not values:
         raise ValueError("no equivocation rows found")
     return np.asarray(values, dtype=np.float64)

@@ -24,7 +24,7 @@ __all__ = [
     "capacity",
     "binom_cdf",
     "redundancy",
-    "concat_rate",
+    "concat_rates",
     "concat_envelope",
 ]
 
@@ -151,15 +151,19 @@ def redundancy(fam: RateFamily, d: int, ell: int = 256) -> float:
     return 4.0 * d * l2
 
 
-def concat_rate(fam: RateFamily, delta: float, d: int, ell: int = 256) -> float:
-    """Rate of concatenation when the inner code corrects up to d deletions.
+def concat_rates(fam: RateFamily, delta: float, ell: int = 256) -> np.ndarray:
+    """Rate of concatenation for every inner code strength d = 0..ell.
 
     The inner code spends redundancy(fam, d) of the ell strand symbols and
-    the block survives only when the strand sees at most d deletions, so the
-    product max(0, 1 - r/ell) * P(Bin(ell, delta) <= d) is the throughput.
+    the block survives only when the strand sees at most d deletions, so
+    entry d is the throughput max(0, 1 - r/ell) * P(Bin(ell, delta) <= d).
     """
-    payload = max(0.0, 1.0 - redundancy(fam, d, ell) / ell)
-    return payload * binom_cdf(ell, delta, d)
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"probability out of range: {delta}")
+    if ell < 2:
+        raise ValueError(f"block length must be at least 2, got {ell}")
+    r = np.array([redundancy(fam, d, ell) for d in range(ell + 1)])
+    return np.maximum(0.0, 1.0 - r / ell) * _cdf_table(ell, delta)
 
 
 def concat_envelope(fam: RateFamily, delta: float, ell: int = 256) -> tuple[float, int]:
@@ -167,10 +171,6 @@ def concat_envelope(fam: RateFamily, delta: float, ell: int = 256) -> tuple[floa
 
     Ties go to the smaller d.  Returns (rate, d_star).
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"probability out of range: {delta}")
-    cdf = _cdf_table(ell, delta)
-    r = np.array([redundancy(fam, d, ell) for d in range(ell + 1)])
-    rates = np.maximum(0.0, 1.0 - r / ell) * cdf
+    rates = concat_rates(fam, delta, ell)
     d_star = int(np.argmax(rates))
     return float(rates[d_star]), d_star

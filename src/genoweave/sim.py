@@ -1,4 +1,4 @@
-"""Seeded experiment harness: construction sweeps and pool error counts.
+"""Seeded experiment harness: construction sweeps, pool error counts, replay.
 
 Every random quantity hangs off the master seed through named derivation:
 the construction for (n, delta) uses seed derive(master, "construct", n,
@@ -14,13 +14,15 @@ loses the same indices to one deletion pattern.  Every kind runs through
 run_pool_experiment.  A batch holds one component's observations unpacked,
 position-major (the order the decoder reads, so they reach it without a
 copy): the component being decoded.  The info bits to check against are
-held as packed bits.  A quaternary pool's imag component
-waits while the real one decodes as one packed bit plane: a deletion
-takes a whole letter, so the imag component is erased exactly where the
-real one is and takes its erasures from it.
+held as packed bits.  A quaternary pool's imag component waits while the
+real one decodes as one packed bit plane: a deletion takes a whole
+letter, so the imag component is erased exactly where the real one is
+and takes its erasures from it.
 
-Progress goes to stderr; all data products are returned (or formatted as
-CSV) for the caller to write.
+results_to_csv writes each cell's cell_seed and failed_pools, and
+replay_pool regenerates any one pool from them.  Progress goes to stderr;
+all data products are returned (or formatted as CSV) for the caller to
+write; the figure series are the CLI's.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "run_construction_sweep",
     "run_pool_experiment",
     "run_quaternary_pool_experiment",
-    "equivocation_histogram",
     "results_to_csv",
 ]
 
@@ -55,6 +56,11 @@ STRAND_LENGTH = 256
 _KINDS = {"deletion": ("push", 1), "insertion": ("pull", 1), "substitution": ("fixed", 1),
           "quaternary": ("push", 2)}
 ERROR_KINDS = tuple(_KINDS)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown error kind {kind!r}, expected one of {ERROR_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
-        if self.error_kind not in _KINDS:
-            raise ValueError(f"unknown error kind {self.error_kind!r}, expected one of {ERROR_KINDS}")
+        _check_kind(self.error_kind)
         deltas = tuple(float(d) for d in self.delta_list)
         if not deltas:
             raise ValueError("need at least one error rate")
@@ -259,28 +264,11 @@ def replay_pool(code: PolarCode, error_kind: str, delta: float, cell_seed: int,
     Returns (true_info, decoded_info), each with a leading component axis,
     so callers can re-verify a recorded failure against ground truth.
     """
+    _check_kind(error_kind)
     rng = np.random.default_rng([cell_seed, pool_index])
     truth, obs = _generate_pool(rng, code, error_kind, delta)
     res = decode_pool_batch(obs, code, _KINDS[error_kind][0], STRAND_LENGTH)
     return truth, res.info_bits
-
-
-# ---------------------------------------------------------------------------
-# presentation helpers
-
-
-def equivocation_histogram(equivocations) -> np.ndarray:
-    """Sorted equivocation profile: rows of (rank fraction, equivocation).
-
-    The x coordinate of the r-th smallest value is (r + 1) / n, so a fully
-    polarized code shows a long floor near zero and a sharp rise to one.
-    """
-    eq = np.asarray(equivocations, dtype=np.float64)
-    if eq.ndim != 1 or eq.size == 0:
-        raise ValueError("equivocations must be a nonempty vector")
-    srt = np.sort(eq)
-    frac = np.arange(1, eq.size + 1) / eq.size
-    return np.column_stack((frac, srt))
 
 
 def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:

@@ -263,7 +263,15 @@ def test_usage_errors_exit_two(capsys):
     for cmd in (["rates", "--q", "2", "--family", "explicit"], ["figures", "--which", "concat2"]):
         assert main([*cmd, "--grid-points", "0"]) == 2
         assert main([*cmd, "--dmax", "-1"]) == 2
+        # one rate array per delta is sliced at --dmax, so past --ell no row exists
+        assert main([*cmd, "--dmax", "257"]) == 2
         assert capsys.readouterr().out == ""
+    for cmd in (["rates", "--q", "2", "--family", "explicit"], ["figures", "--which", "concat2"],
+                ["figures", "--which", "all2", "--ns", "4", "--samples", "10"]):
+        # a negative length used to index the binomial table and exit 1
+        assert main([*cmd, "--ell", "-5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "block length must be at least 2" in err
     # the scalar series starts at d = 1, so --dmax 0 leaves it empty
     assert main(["figures", "--which", "scalar", "--dmax", "0"]) == 2
     assert capsys.readouterr().out == ""

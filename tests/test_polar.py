@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -384,3 +385,10 @@ def test_equivocations_csv_rejects_out_of_order_rows(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError):
         read_equivocations_csv(str(path))
+    # a row that is not an index and a float is named, file and row
+    good = format_equivocations_csv([0.5, 0.25], {"n": 2})
+    for bad_row in ("localhost", "1,0.25,7", "one,0.25", "1,half"):
+        path.write_text(good.replace("1,0.25", bad_row))
+        with pytest.raises(ValueError, match=re.escape(f"{path} row 4: ") + ".*" +
+                           re.escape(repr(bad_row))):
+            read_equivocations_csv(str(path))

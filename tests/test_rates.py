@@ -12,7 +12,7 @@ from genoweave.rates import (
     binom_cdf,
     capacity,
     concat_envelope,
-    concat_rate,
+    concat_rates,
     entropy,
     redundancy,
 )
@@ -176,18 +176,18 @@ def test_rate_family_rejects_bad_alphabet():
 
 
 def test_concat_rate_frozen_values():
-    assert concat_rate(RateFamily(q=2, family="explicit"), 0.01, 3) == pytest.approx(
+    assert concat_rates(RateFamily(q=2, family="explicit"), 0.01)[3] == pytest.approx(
         0.4890099573236599, rel=1e-12)
-    assert concat_rate(RateFamily(q=4, family="implicit"), 0.02, 2) == pytest.approx(
+    assert concat_rates(RateFamily(q=4, family="implicit"), 0.02)[2] == pytest.approx(
         0.10542037755373179, rel=1e-12)
-    assert concat_rate(RateFamily(q=2, family="putative"), 0.1, 30) == pytest.approx(
+    assert concat_rates(RateFamily(q=2, family="putative"), 0.1)[30] == pytest.approx(
         0.05289690537847687, rel=1e-12)
 
 
 def test_concat_rate_clamps_at_zero():
     # redundancy above the strand length cannot go negative
     fam = RateFamily(q=2, family="explicit")
-    assert concat_rate(fam, 0.01, 200) == 0.0
+    assert concat_rates(fam, 0.01)[200] == 0.0
 
 
 def test_concat_envelope_noiseless_is_rate_one():
@@ -201,7 +201,7 @@ def test_concat_envelope_dominates_every_d():
     fam = RateFamily(q=2, family="explicit")
     for delta in (1e-6, 1e-3, 0.01, 0.1):
         env, d_star = concat_envelope(fam, delta)
-        rates = [concat_rate(fam, delta, d) for d in range(257)]
+        rates = concat_rates(fam, delta).tolist()
         assert env == pytest.approx(max(rates), rel=1e-14)
         assert rates[d_star] == env
         # ties resolve to the smallest maximizer
@@ -228,7 +228,13 @@ def test_concat_envelope_family_ordering():
 
 
 def test_concat_envelope_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        concat_envelope(RateFamily(q=2, family="explicit"), -0.1)
-    with pytest.raises(ValueError):
-        concat_envelope(RateFamily(q=2, family="explicit"), 1.5)
+    # and so does concat_rates, and both reject a block length below 2
+    # before building the binomial table, which a negative one would index
+    fam = RateFamily(q=2, family="explicit")
+    for func in (concat_rates, concat_envelope):
+        for delta in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="probability out of range"):
+                func(fam, delta)
+        for ell in (-5, 0, 1):
+            with pytest.raises(ValueError, match="block length must be at least 2"):
+                func(fam, 0.01, ell)

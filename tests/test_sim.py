@@ -15,7 +15,6 @@ from genoweave.sim import (
     STRAND_LENGTH,
     ExperimentConfig,
     derive_seed,
-    equivocation_histogram,
     replay_pool,
     results_to_csv,
     run_construction_sweep,
@@ -153,6 +152,10 @@ def test_replay_reproduces_recorded_failures():
     truth, decoded = replay_pool(code, row.error_kind, row.delta,
                                  row.cell_seed, good)
     assert (truth == decoded).all()
+    # a kind no row carries is a usage error, with the config's message
+    with pytest.raises(ValueError, match="unknown error kind 'bogus', expected one of "
+                                         ".*'quaternary'"):
+        replay_pool(code, "bogus", row.delta, row.cell_seed, good)
 
 
 def test_pool_experiment_accepts_prebuilt_codes():
@@ -295,15 +298,7 @@ def test_config_threshold_scaling():
 
 
 # ---------------------------------------------------------------------------
-# presentation helpers
-
-
-def test_equivocation_histogram_sorted_pairs():
-    eq = np.array([0.5, 0.1, 0.9, 0.0])
-    hist = equivocation_histogram(eq)
-    assert hist.shape == (4, 2)
-    assert hist[:, 0].tolist() == [0.25, 0.5, 0.75, 1.0]
-    assert hist[:, 1].tolist() == [0.0, 0.1, 0.5, 0.9]
+# CSV output
 
 
 def test_results_csv_format():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import sc_oracle
 
 from genoweave import polar
 from genoweave.channels import (
@@ -461,6 +462,86 @@ def test_decode_pool_batch_of_no_pools_is_empty():
         assert res.offsets.shape == (0, 4) and res.offset_history.shape == (0, 8, 4)
         assert decode_pool_batch(np.zeros((0, 4, width), np.uint8), code, mode,
                                  8).offset_history is None
+
+
+# ---------------------------------------------------------------------------
+# independent reference for the read path
+
+
+def _reference_decode(obs, code, mode, length):
+    """The resync decoder as a plain walk with one Python read pointer per strand.
+
+    Shares nothing with decode_pool_batch's flat indices, clipped reads or
+    LLR table.  Each symbol's LLR comes from the design crossover, each
+    position decodes with the oracle SC kernel, and then each pointer moves
+    past the symbol it read, except that push re-reads a contradicted symbol
+    and pull skips it as well; fixed reads position p.  An erasure never
+    contradicts.  A pointer that leaves its strand raises IndexError.
+    Returns (info_bits, offsets, offset_history) as decode_pool_batch lays
+    them out.
+    """
+    W, n, _ = obs.shape
+    delta = code.design_delta
+    certain = 50.0 if delta == 0.0 else math.log((1.0 - delta) / delta)
+    llr_of = {0: certain, 1: -certain, ERASURE: 0.0}
+    frozen = np.ones(n, dtype=bool)
+    frozen[code.info_set] = False
+    rows = obs.tolist()
+    ptr = [[0] * n for _ in range(W)]
+
+    def offsets(p):  # symbols deleted (push) or inserted (pull) before position p
+        lag = {"push": lambda q: p - q, "pull": lambda q: q - p, "fixed": lambda q: 0}[mode]
+        return [[lag(q) for q in strands] for strands in ptr]
+
+    info = np.empty((W, length, code.k), dtype=np.uint8)
+    history = np.empty((W, length, n), dtype=np.int64)
+    for p in range(length):
+        history[:, p] = offsets(p)
+        if mode == "fixed":
+            ptr = [[p] * n for _ in range(W)]
+        read = [[rows[w][s][ptr[w][s]] for s in range(n)] for w in range(W)]
+        u, x = sc_oracle._sc_batch(np.array([[llr_of[sym] for sym in r] for r in read]), frozen)
+        info[:, p] = u[:, code.info_set]
+        for w in range(W):
+            for s in range(n):
+                contradicted = read[w][s] != ERASURE and read[w][s] != x[w, s]
+                if mode == "push":
+                    ptr[w][s] += 0 if contradicted else 1
+                elif mode == "pull":
+                    ptr[w][s] += 2 if contradicted else 1
+    return info, np.array(offsets(length), dtype=np.int64).reshape(W, n), history
+
+
+# (design crossover, channel indel or flip rate, fraction of symbols erased)
+_REFERENCE_CASES = [(0.05, 0.01, 0.0), (0.02, 0.3, 0.0), (0.0, 0.1, 0.0), (0.1, 0.3, 0.6),
+                    (0.0, 0.3, 0.3)]
+
+
+@pytest.mark.parametrize("W", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+@pytest.mark.parametrize("mode", ["push", "pull", "fixed"])
+def test_decode_pool_batch_matches_a_plain_pointer_walk(mode, n, W):
+    channel = {"push": delete_pool, "pull": insert_pool, "fixed": bsc_pool}[mode]
+    rng = np.random.default_rng([n, W, len(mode)])
+    ell = 16
+    moved = False
+    for design, rate, erased in _REFERENCE_CASES:
+        # a random info set: the read path must follow any code
+        code = make_polar_code(n, design, rng.random(n), threshold=0.5)
+        obs = np.stack([channel(weave_encode(_random_info(rng, ell, code), code).strands,
+                                rate, rng)[0] for _ in range(W)])
+        obs[rng.random(obs.shape) < erased] = ERASURE
+        got = decode_pool_batch(obs, code, mode, ell, trace=True)
+        want = _reference_decode(obs, code, mode, ell)
+        for name, ref in zip(("info_bits", "offsets", "offset_history"), want):
+            a = getattr(got, name)
+            assert a.dtype == ref.dtype and a.shape == ref.shape, name
+            assert a.tobytes() == ref.tobytes(), (name, design, rate, erased)
+        moved |= bool(want[1].any())
+    # fixed never moves; with 30% indels some strand of a wider pool moves, or
+    # the walk checked nothing (a one-strand code may never contradict a read)
+    if mode == "fixed" or n > 1:
+        assert moved == (mode != "fixed")
 
 
 @pytest.mark.parametrize("bad", [0.5, 256, 257])
