@@ -85,8 +85,6 @@ def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
     """delta,d,rate,envelope_rate,envelope_opt_d rows over the delta grid."""
     grid = _delta_grid(args.grid_points)
     tables = [concat_rates(fam, float(delta), args.ell) for delta in grid]  # checks --ell
-    if args.dmax > args.ell:  # the slice below would drop those rows silently
-        raise ValueError(f"--dmax must be at most --ell ({args.ell}), got {args.dmax}")
     rows = []
     for delta, rates in zip(grid, tables):
         env_d = int(np.argmax(rates))  # the envelope: ties go to the smaller d
@@ -95,12 +93,16 @@ def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
     return rows
 
 
-def _check_grid(args: argparse.Namespace, dmin: int = 0) -> None:
+def _check_grid(args: argparse.Namespace, dmin: int = 0, capped: bool = True) -> None:
     # an empty grid would write a header-only CSV and report success
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     if args.dmax < dmin:
         raise ValueError(f"--dmax must be at least {dmin}, got {args.dmax}")
+    # no code corrects more deletions than the strand has symbols; an --ell
+    # below 2 is left to the rates module, whose message names the length
+    if capped and args.dmax > args.ell >= 2:
+        raise ValueError(f"--dmax must be at most --ell ({args.ell}), got {args.dmax}")
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
@@ -111,13 +113,6 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_code(path: str, n: int, delta: float, threshold: float):
-    eq = read_equivocations_csv(path)
-    if eq.size != n:
-        raise ValueError(f"--code file holds {eq.size} channels but --n is {n}")
-    return make_polar_code(n, delta, eq, threshold=threshold)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     delta = parse_delta(args.delta)
     config = ExperimentConfig(
@@ -126,7 +121,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         threshold_scale=args.threshold_scale)
     codes = None
     if args.code is not None:
-        codes = {delta: _load_code(args.code, args.n, delta, config.threshold())}
+        eq = read_equivocations_csv(args.code)
+        if eq.size != args.n:
+            raise ValueError(f"--code file holds {eq.size} channels but --n is {args.n}")
+        codes = {delta: make_polar_code(args.n, delta, eq, threshold=config.threshold())}
     # quaternary keeps its own entry point, so a profile tells the kinds apart
     run = (sim.run_quaternary_pool_experiment if args.errors == "quaternary"
            else sim.run_pool_experiment)
@@ -197,7 +195,9 @@ def _figure_all(args: argparse.Namespace, q: int) -> str:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    _check_grid(args, dmin=1 if args.which == "scalar" else 0)  # scalar starts at d = 1
+    # the scalar series starts at d = 1; only it and the concat figures read --dmax
+    _check_grid(args, dmin=1 if args.which == "scalar" else 0,
+                capped=args.which in ("scalar", "concat2", "concat4"))
     figure = {"scalar": _figure_scalar, "equiv": _figure_equiv,
               "concat2": lambda a: _figure_concat(a, 2), "all2": lambda a: _figure_all(a, 2),
               "concat4": lambda a: _figure_concat(a, 4), "all4": lambda a: _figure_all(a, 4)}
@@ -215,49 +215,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Per-position polar coding over strand pools, with rate baselines.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="Monte-Carlo construct a code; dump equivocations CSV")
+    # options shared by several subcommands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--samples", type=int, default=1000,
+                        help="Monte-Carlo construction samples")
+    seeded.add_argument("--seed", type=int, default=0)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--ell", type=int, default=256)
+    grid.add_argument("--grid-points", type=int, default=200)
+    grid.add_argument("--dmax", type=int, default=16)
+
+    c = sub.add_parser("construct", parents=[seeded, out],
+                       help="Monte-Carlo construct a code; dump equivocations CSV")
     c.add_argument("--n", type=int, required=True, help="strand count / block length (power of two)")
     c.add_argument("--delta", required=True, help="design crossover (0.01 or 1%%)")
-    c.add_argument("--samples", type=int, default=1000)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_construct)
 
-    r = sub.add_parser("rates", help="concatenation-baseline rate grid and envelope")
+    r = sub.add_parser("rates", parents=[grid, out],
+                       help="concatenation-baseline rate grid and envelope")
     r.add_argument("--q", type=int, choices=(2, 4), required=True)
     r.add_argument("--family", choices=rates_mod.FAMILIES, required=True)
-    r.add_argument("--ell", type=int, default=256)
-    r.add_argument("--grid-points", type=int, default=200)
-    r.add_argument("--dmax", type=int, default=16)
-    r.add_argument("--out", default=None)
     r.set_defaults(func=_cmd_rates)
 
-    s = sub.add_parser("simulate", help="pool failure counts for one (n, delta) cell")
+    s = sub.add_parser("simulate", parents=[seeded, out],
+                       help="pool failure counts for one (n, delta) cell")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--delta", required=True)
     s.add_argument("--errors", choices=sim.ERROR_KINDS, default="deletion")
     s.add_argument("--pools", type=int, default=1000)
-    s.add_argument("--samples", type=int, default=1000,
-                   help="construction samples when no --code is given")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--code", default=None, help="equivocations CSV from `construct`")
+    s.add_argument("--code", default=None, help="equivocations CSV from `construct` to use")
     s.add_argument("--threshold-scale", type=float, default=1.0)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_simulate)
 
-    f = sub.add_parser("figures", help="CSV series behind the standard figures")
+    f = sub.add_parser("figures", parents=[seeded, grid, out],
+                       help="CSV series behind the standard figures")
     f.add_argument("--which", required=True,
                    choices=("scalar", "concat2", "concat4", "equiv", "all2", "all4"))
     f.add_argument("--ns", type=_parse_int_list, default=(256, 4096),
                    help="comma-separated strand counts for constructed-rate series")
     f.add_argument("--deltas", type=_parse_delta_list, default=None,
                    help="comma-separated rates for constructed-rate series")
-    f.add_argument("--samples", type=int, default=1000)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--ell", type=int, default=256)
-    f.add_argument("--grid-points", type=int, default=200)
-    f.add_argument("--dmax", type=int, default=16)
-    f.add_argument("--out", default=None)
     f.set_defaults(func=_cmd_figures)
     return top
 

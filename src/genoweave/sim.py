@@ -19,10 +19,11 @@ real one decodes as one packed bit plane: a deletion takes a whole
 letter, so the imag component is erased exactly where the real one is
 and takes its erasures from it.
 
+A result row holds only what the seed fixes, so reruns compare equal:
 results_to_csv writes each cell's cell_seed and failed_pools, and
-replay_pool regenerates any one pool from them.  Progress goes to stderr;
-all data products are returned (or formatted as CSV) for the caller to
-write; the figure series are the CLI's.
+replay_pool regenerates any one pool from them.  Progress and timings go
+to stderr as "[genoweave] <stage> key=value ..." lines; all data products
+are returned (or formatted as CSV) for the caller to write.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import struct
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,16 +106,14 @@ class ExperimentResult:
     delta: float
     error_kind: str
     pools_run: int
-    failure_count: int
     code_rate: float
     seed: int
     cell_seed: int
-    wall_time: float
-    failed_pools: tuple[int, ...] = field(default=(), repr=False)
+    failed_pools: tuple[int, ...]
 
-
-def _float_bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
+    @property
+    def failure_count(self) -> int:
+        return len(self.failed_pools)
 
 
 def derive_seed(*parts) -> int:
@@ -124,33 +123,33 @@ def derive_seed(*parts) -> int:
         if isinstance(p, str):
             ints.append(zlib.crc32(p.encode()))
         elif isinstance(p, float):
-            ints.append(_float_bits(p))
+            ints.append(struct.unpack("<Q", struct.pack("<d", p))[0])
         else:
             ints.append(int(p))
     return int(np.random.SeedSequence(ints).generate_state(1, np.uint64)[0])
 
 
-def _progress(msg: str) -> None:
-    print(f"[genoweave] {msg}", file=sys.stderr, flush=True)
+def _progress(stage: str, t0: float, **fields) -> None:
+    # one stderr line of key=value fields, the seconds since t0 last
+    kv = "".join(f"{k}={v} " for k, v in fields.items())
+    print(f"[genoweave] {stage} {kv}seconds={time.perf_counter() - t0:.3f}",
+          file=sys.stderr, flush=True)
 
 
 def _construct(config: ExperimentConfig, delta: float) -> tuple[PolarCode, int]:
     # the code for delta and the construction seed it was built from
+    t0 = time.perf_counter()
     cseed = derive_seed(config.master_seed, "construct", config.n, delta)
-    return design_polar_code(config.n, delta, samples=config.construction_samples,
-                             seed=cseed, threshold=config.threshold()), cseed
+    code = design_polar_code(config.n, delta, samples=config.construction_samples,
+                             seed=cseed, threshold=config.threshold())
+    _progress("construct", t0, n=config.n, delta=delta, samples=config.construction_samples,
+              rate=code.rate)
+    return code, cseed
 
 
 def run_construction_sweep(config: ExperimentConfig) -> list[tuple[PolarCode, int]]:
     """Construct a code per delta in the config: (code, construction_seed) pairs."""
-    pairs = []
-    for delta in config.delta_list:
-        t0 = time.perf_counter()
-        code, cseed = _construct(config, delta)
-        pairs.append((code, cseed))
-        _progress(f"construct n={config.n} delta={delta:g} samples={config.construction_samples} "
-                  f"rate={code.rate:.4f} ({time.perf_counter() - t0:.1f}s)")
-    return pairs
+    return [_construct(config, delta) for delta in config.delta_list]
 
 
 def _pool_batch_size(n: int, width: int, pools: int) -> int:
@@ -219,13 +218,12 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                 bad |= (np.packbits(info, axis=-1) != truth[c]).any(axis=(1, 2))
                 del info  # freed before the next component decodes
             failed.extend(int(start + i) for i in np.flatnonzero(bad))
-            _progress(f"pools n={config.n} delta={delta:g} kind={kind} "
-                      f"{start + count}/{config.pools} failures={len(failed)}")
+            _progress("pools", t0, n=config.n, delta=delta, kind=kind, done=start + count,
+                      pools=config.pools, failures=len(failed))
         results.append(ExperimentResult(
-            n=config.n, delta=delta, error_kind=kind,
-            pools_run=config.pools, failure_count=len(failed),
+            n=config.n, delta=delta, error_kind=kind, pools_run=config.pools,
             code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,
-            wall_time=time.perf_counter() - t0, failed_pools=tuple(failed)))
+            failed_pools=tuple(failed)))
     return results
 
 

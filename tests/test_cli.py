@@ -275,6 +275,13 @@ def test_usage_errors_exit_two(capsys):
     # the scalar series starts at d = 1, so --dmax 0 leaves it empty
     assert main(["figures", "--which", "scalar", "--dmax", "0"]) == 2
     assert capsys.readouterr().out == ""
+    # and no code corrects more deletions than the strand has symbols
+    assert main(["figures", "--which", "scalar", "--dmax", "10", "--ell", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--dmax must be at most --ell (8), got 10" in err
+    assert main(["figures", "--which", "scalar", "--ell", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "block length must be at least 2" in err
     for flag in ("--ns", "--deltas"):
         # an empty list would print a header-only CSV and exit 0
         with pytest.raises(SystemExit) as exc:
