@@ -53,7 +53,21 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _delta_grid(points: int) -> np.ndarray:
+    # an empty grid would write a header-only CSV and report success
+    if points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {points}")
     return np.logspace(-4, np.log10(0.2), points)
+
+
+def _strengths(args: argparse.Namespace, first: int) -> range:
+    """Inner code strengths d = first..--dmax, for the figures that read --dmax."""
+    if args.dmax < first:
+        raise ValueError(f"--dmax must be at least {first}, got {args.dmax}")
+    # no code corrects more deletions than the strand has symbols; an --ell
+    # below 2 is left to the rates module, whose message names the length
+    if args.dmax > args.ell >= 2:
+        raise ValueError(f"--dmax must be at most --ell ({args.ell}), got {args.dmax}")
+    return range(first, args.dmax + 1)
 
 
 def _write(out: str | None, text: str) -> None:
@@ -84,29 +98,18 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
     """delta,d,rate,envelope_rate,envelope_opt_d rows over the delta grid."""
     grid = _delta_grid(args.grid_points)
+    strengths = _strengths(args, 0)
     tables = [concat_rates(fam, float(delta), args.ell) for delta in grid]  # checks --ell
     rows = []
     for delta, rates in zip(grid, tables):
         env_d = int(np.argmax(rates))  # the envelope: ties go to the smaller d
-        for d, r in enumerate(rates[:args.dmax + 1]):
-            rows.append(f"{float(delta)!r},{d},{float(r)!r},{float(rates[env_d])!r},{env_d}")
+        for d in strengths:
+            rows.append(f"{float(delta)!r},{d},{float(rates[d])!r},"
+                        f"{float(rates[env_d])!r},{env_d}")
     return rows
 
 
-def _check_grid(args: argparse.Namespace, dmin: int = 0, capped: bool = True) -> None:
-    # an empty grid would write a header-only CSV and report success
-    if args.grid_points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
-    if args.dmax < dmin:
-        raise ValueError(f"--dmax must be at least {dmin}, got {args.dmax}")
-    # no code corrects more deletions than the strand has symbols; an --ell
-    # below 2 is left to the rates module, whose message names the length
-    if capped and args.dmax > args.ell >= 2:
-        raise ValueError(f"--dmax must be at most --ell ({args.ell}), got {args.dmax}")
-
-
 def _cmd_rates(args: argparse.Namespace) -> int:
-    _check_grid(args)
     lines = ["# seed=none", "delta,d,rate,envelope_rate,envelope_opt_d"]
     lines += _concat_rows(RateFamily(q=args.q, family=args.family), args)
     _write(args.out, "\n".join(lines) + "\n")
@@ -117,14 +120,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     delta = parse_delta(args.delta)
     config = ExperimentConfig(
         n=args.n, delta_list=(delta,), error_kind=args.errors, pools=args.pools,
-        construction_samples=args.samples, master_seed=args.seed,
-        threshold_scale=args.threshold_scale)
+        construction_samples=args.samples, master_seed=args.seed)
     codes = None
     if args.code is not None:
         eq = read_equivocations_csv(args.code)
         if eq.size != args.n:
             raise ValueError(f"--code file holds {eq.size} channels but --n is {args.n}")
-        codes = {delta: make_polar_code(args.n, delta, eq, threshold=config.threshold())}
+        codes = {delta: make_polar_code(args.n, delta, eq)}
     # quaternary keeps its own entry point, so a profile tells the kinds apart
     run = (sim.run_quaternary_pool_experiment if args.errors == "quaternary"
            else sim.run_pool_experiment)
@@ -141,8 +143,9 @@ def _figure_scalar(args: argparse.Namespace) -> str:
         ("explicit_binary", RateFamily(q=2, family="explicit")),
         ("explicit_quaternary", RateFamily(q=4, family="explicit")),
     )
+    strengths = _strengths(args, 1)  # the series starts at d = 1
     for name, fam in series:
-        for d in range(1, args.dmax + 1):
+        for d in strengths:
             r = rates_mod.redundancy(fam, d, args.ell)
             norm = r / (d * math.log(args.ell, fam.q))
             lines.append(f"{name},{fam.q},{d},{float(r)!r},{float(norm)!r}")
@@ -195,9 +198,6 @@ def _figure_all(args: argparse.Namespace, q: int) -> str:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    # the scalar series starts at d = 1; only it and the concat figures read --dmax
-    _check_grid(args, dmin=1 if args.which == "scalar" else 0,
-                capped=args.which in ("scalar", "concat2", "concat4"))
     figure = {"scalar": _figure_scalar, "equiv": _figure_equiv,
               "concat2": lambda a: _figure_concat(a, 2), "all2": lambda a: _figure_all(a, 2),
               "concat4": lambda a: _figure_concat(a, 4), "all4": lambda a: _figure_all(a, 4)}
@@ -246,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--errors", choices=sim.ERROR_KINDS, default="deletion")
     s.add_argument("--pools", type=int, default=1000)
     s.add_argument("--code", default=None, help="equivocations CSV from `construct` to use")
-    s.add_argument("--threshold-scale", type=float, default=1.0)
     s.set_defaults(func=_cmd_simulate)
 
     f = sub.add_parser("figures", parents=[seeded, grid, out],

@@ -134,18 +134,14 @@ def redundancy(fam: RateFamily, d: int, ell: int = 256) -> float:
         return 0.0
     l2 = math.log2(ell)
     lq = l2 if fam.q == 2 else l2 / 2.0
-    if fam.family == "putative":
+    if d == 1 or fam.family == "putative":  # every family costs log_q(ell) at d = 1
         return d * lq
     if fam.family == "implicit":
-        return lq if d == 1 else 2.0 * d * lq
+        return 2.0 * d * lq
     if fam.q == 2:
-        if d == 1:
-            return l2
         if d == 2:
             return 4.0 * l2
         return (4.0 * d - 1.0) * l2
-    if d == 1:
-        return lq
     if d == 2:
         return 5.0 * l2
     return 4.0 * d * l2

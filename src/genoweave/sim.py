@@ -74,7 +74,6 @@ class ExperimentConfig:
     pools: int = 1000
     construction_samples: int = 1000
     master_seed: int = 0
-    threshold_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.n & (self.n - 1):
@@ -90,12 +89,9 @@ class ExperimentConfig:
             raise ValueError(f"pool count must be positive, got {self.pools}")
         if self.construction_samples < 1:
             raise ValueError("construction needs at least one sample")
-        if not 0.0 < self.threshold_scale < np.inf:  # inf selects every channel
-            raise ValueError("threshold scale must be finite and positive")
+        if self.master_seed < 0:  # every seed derives from it, and numpy takes none below 0
+            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "delta_list", deltas)
-
-    def threshold(self) -> float:
-        return self.threshold_scale / (STRAND_LENGTH * self.n)
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,7 @@ def _construct(config: ExperimentConfig, delta: float) -> tuple[PolarCode, int]:
     # the code for delta and the construction seed it was built from
     t0 = time.perf_counter()
     cseed = derive_seed(config.master_seed, "construct", config.n, delta)
-    code = design_polar_code(config.n, delta, samples=config.construction_samples,
-                             seed=cseed, threshold=config.threshold())
+    code = design_polar_code(config.n, delta, samples=config.construction_samples, seed=cseed)
     _progress("construct", t0, n=config.n, delta=delta, samples=config.construction_samples,
               rate=code.rate)
     return code, cseed
@@ -185,6 +180,8 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
     results = []
     for delta in config.delta_list:
         code = codes[delta] if codes and delta in codes else _construct(config, delta)[0]
+        if code.n != config.n:  # its strands would not fit the pool arrays
+            raise ValueError(f"code for delta {delta} has n={code.n}, the config n={config.n}")
         cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
         t0 = time.perf_counter()
         failed: list[int] = []

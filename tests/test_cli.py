@@ -211,9 +211,12 @@ def test_figures_concat_families(capsys):
 
 
 def test_figures_equiv_fractions(capsys):
-    code, out = _run(capsys, "figures", "--which", "equiv", "--ns", "16",
-                     "--deltas", "0,1%", "--samples", "60", "--seed", "2")
+    argv = ("figures", "--which", "equiv", "--ns", "16", "--deltas", "0,1%",
+            "--samples", "60", "--seed", "2")
+    code, out = _run(capsys, *argv)
     assert code == 0
+    # equiv builds no delta grid and no strength range, so it reads neither option
+    assert _run(capsys, *argv, "--grid-points", "0", "--dmax", "-1") == (0, out)
     lines = out.strip().split("\n")
     assert lines[0] == "# seed=2"
     assert lines[1] == "n,delta,fraction,equivocation,floored"
@@ -231,13 +234,17 @@ def test_figures_equiv_fractions(capsys):
 
 
 def test_figures_all2_series(capsys):
-    code, out = _run(capsys, "figures", "--which", "all2", "--ns", "16",
-                     "--deltas", "1%,2%", "--samples", "50",
-                     "--grid-points", "5", "--seed", "1")
+    argv = ("figures", "--which", "all2", "--ns", "16", "--deltas", "1%,2%",
+            "--samples", "50", "--seed", "1")
+    code, out = _run(capsys, *argv, "--grid-points", "5")
     assert code == 0
     series = {line.split(",")[0] for line in out.strip().split("\n")[2:]}
     assert series == {"capacity_binary", "envelope_explicit",
                       "envelope_implicit", "envelope_putative", "polar_n16"}
+    # the envelopes span d = 0..--ell whatever --dmax says; the grid is read
+    assert _run(capsys, *argv, "--grid-points", "5", "--dmax", "-1") == (0, out)
+    code, out = _run(capsys, *argv, "--grid-points", "0")
+    assert (code, out) == (2, "")
 
 
 def test_figures_all4_adds_quaternary_capacity(capsys):
@@ -258,8 +265,18 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["simulate", "--n", "64", "--delta", "150%"]) == 2
     capsys.readouterr()
-    assert main(["simulate", "--n", "32", "--delta", "1%", "--threshold-scale", "inf"]) == 2
+    # the info set is always selected against 1/(256 n): no option moves it
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "32", "--delta", "1%", "--threshold-scale", "inf"])
+    assert exc.value.code == 2
     capsys.readouterr()
+    for cmd in (["construct", "--n", "16", "--delta", "1%"],
+                ["simulate", "--n", "16", "--delta", "1%"],
+                ["figures", "--which", "equiv", "--ns", "16"]):
+        # numpy's own message would not say which seed it refused
+        assert main([*cmd, "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "master seed must be nonnegative, got -1" in err
     for cmd in (["rates", "--q", "2", "--family", "explicit"], ["figures", "--which", "concat2"]):
         assert main([*cmd, "--grid-points", "0"]) == 2
         assert main([*cmd, "--dmax", "-1"]) == 2

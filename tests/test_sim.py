@@ -9,7 +9,7 @@ import pytest
 
 from genoweave import sim
 from genoweave.channels import ERASURE
-from genoweave.polar import make_polar_code
+from genoweave.polar import design_polar_code, make_polar_code
 from genoweave.rates import capacity
 from genoweave.sim import (
     STRAND_LENGTH,
@@ -24,6 +24,14 @@ from genoweave.sim import (
 
 SMALL = dict(n=64, delta_list=(0.02,), error_kind="deletion", pools=40,
              construction_samples=200, master_seed=1)
+
+
+def _loose_code(cfg: ExperimentConfig, delta: float, scale: float):
+    # the code _construct builds for cfg, selected against scale / (256 n)
+    # rather than the default 1 / (256 n) to keep k > 0 at tiny n
+    return design_polar_code(cfg.n, delta, samples=cfg.construction_samples,
+                             seed=derive_seed(cfg.master_seed, "construct", cfg.n, delta),
+                             threshold=scale / (STRAND_LENGTH * cfg.n))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +121,8 @@ def test_pool_experiment_batch_size_invariant(monkeypatch):
     # packed; n=2 needs a looser threshold and a lower error rate to keep k > 0 and
     # fail only some of its pools.  run_pool_experiment on a quaternary config
     # and run_quaternary_pool_experiment on a deletion one run the same cell.
-    cells = (SMALL, dict(SMALL, n=4),
-             dict(SMALL, n=2, delta_list=(0.001,), threshold_scale=50.0))
+    cells = ((SMALL, 1.0), (dict(SMALL, n=4), 1.0),
+             (dict(SMALL, n=2, delta_list=(0.001,)), 50.0))
 
     def run_all(cfg, codes):
         quaternary = dataclasses.replace(cfg, error_kind="quaternary")
@@ -122,9 +130,9 @@ def test_pool_experiment_batch_size_invariant(monkeypatch):
                 run_pool_experiment(quaternary, codes))
         return [row for row, in rows]
 
-    for cell in cells:
+    for cell, scale in cells:
         cfg = ExperimentConfig(**cell)
-        codes = {cfg.delta_list[0]: sim._construct(cfg, cfg.delta_list[0])[0]}
+        codes = {cfg.delta_list[0]: _loose_code(cfg, cfg.delta_list[0], scale)}
         base = run_all(cfg, codes)
         assert base[1] == base[2] and base[2].error_kind == "quaternary"
         for row in base[:2]:
@@ -168,6 +176,10 @@ def test_pool_experiment_accepts_prebuilt_codes():
         codes={0.0: code})
     assert rows[0].code_rate == 1.0
     assert rows[0].failure_count == 0
+    # a code of another length would not fit the pool arrays
+    with pytest.raises(ValueError, match="has n=32, the config n=16"):
+        run_pool_experiment(ExperimentConfig(n=16, delta_list=(0.0,), pools=3),
+                            codes={0.0: code})
 
 
 def test_quaternary_experiment_zero_noise_and_determinism():
@@ -217,9 +229,8 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
     monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools: 4)
     for n in (4, 64):
         cfg = ExperimentConfig(n=n, delta_list=(0.05,), error_kind="deletion", pools=9,
-                               construction_samples=100, master_seed=3,
-                               threshold_scale=200.0)
-        code = sim._construct(cfg, 0.05)[0]
+                               construction_samples=100, master_seed=3)
+        code = _loose_code(cfg, 0.05, 200.0)
         calls.clear()
         (row,) = run_quaternary_pool_experiment(cfg, codes={0.05: code})
         want = np.stack([sim._generate_pool(np.random.default_rng([row.cell_seed, i]),
@@ -287,16 +298,9 @@ def test_config_validation():
         assert ExperimentConfig(n=64, delta_list=(0.01,), error_kind=kind).error_kind == kind
     with pytest.raises(ValueError):
         ExperimentConfig(n=64, delta_list=(0.01,), pools=0)
-    for scale in (0.0, np.inf):
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=64, delta_list=(0.01,), threshold_scale=scale)
-
-
-def test_config_threshold_scaling():
-    cfg = ExperimentConfig(n=64, delta_list=(0.01,))
-    assert cfg.threshold() == pytest.approx(1.0 / (256 * 64))
-    cfg2 = dataclasses.replace(cfg, threshold_scale=3.0)
-    assert cfg2.threshold() == pytest.approx(3.0 / (256 * 64))
+    # numpy's own message would not say which seed it refused
+    with pytest.raises(ValueError, match="master seed must be nonnegative, got -1"):
+        ExperimentConfig(n=64, delta_list=(0.01,), master_seed=-1)
 
 
 # ---------------------------------------------------------------------------
