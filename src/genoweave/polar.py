@@ -120,7 +120,11 @@ class PolarCode:
             raise ValueError("equivocations must have one entry per bit channel")
         if np.isnan(eq).any() or eq.min() < 0.0 or eq.max() > 1.0:
             raise ValueError("equivocations must lie in [0, 1]")
-        info = np.asarray(self.info_set, dtype=np.int64).copy()
+        raw = np.asarray(self.info_set)
+        with np.errstate(invalid="ignore"):  # NaN and inf are refused below, not warned of
+            info = raw.astype(np.int64)
+        if (info != raw).any():  # the cast would make 0.5 and 1.7 indices 0 and 1
+            raise ValueError("info_set must hold integer indices")
         if info.ndim != 1 or (np.diff(info) <= 0).any():
             raise ValueError("info_set must be strictly increasing")
         if info.size and (info[0] < 0 or info[-1] >= self.n):
@@ -566,8 +570,8 @@ def read_equivocations_csv(path: str) -> np.ndarray:
             raise ValueError(f"{path} row {row}: expected 'index,equivocation', "
                              f"got {line!r}") from None
         if idx != len(values):
-            raise ValueError(f"row index {idx} out of order")
+            raise ValueError(f"{path} row {row}: index {idx} out of order")
         values.append(val)
     if not values:
-        raise ValueError("no equivocation rows found")
+        raise ValueError(f"{path}: no equivocation rows found")
     return np.asarray(values, dtype=np.float64)

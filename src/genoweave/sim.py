@@ -11,13 +11,13 @@ ERROR_KINDS lists the four experiment kinds, and this module is the one
 place that knows them: substitution, deletion and insertion pools are one
 binary component each; a quaternary pool is a (real, imag) pair that
 loses the same indices to one deletion pattern.  Every kind runs through
-run_pool_experiment.  A batch holds one component's observations unpacked,
-position-major (the order the decoder reads, so they reach it without a
-copy): the component being decoded.  The info bits to check against are
-held as packed bits.  A quaternary pool's imag component waits while the
-real one decodes as one packed bit plane: a deletion takes a whole
-letter, so the imag component is erased exactly where the real one is
-and takes its erasures from it.
+run_pool_experiment.  A batch decodes in one call with each pool's
+components side by side, as replay_pool decodes one pool: its
+observations are held unpacked and position-major (the order the decoder
+reads, so they reach it without a copy), the info bits to check against
+as packed bits.  The batch rule counts components, so a decode is no
+wider than the pool count or about 64 MB of observations, whatever the
+kind.
 
 A result row holds only what the seed fixes, so reruns compare equal:
 results_to_csv writes each cell's cell_seed and failed_pools, and
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ERASURE, ChannelSpec, apply_channel_pool, delete_pool_coincident
+from .channels import ChannelSpec, apply_channel_pool, delete_pool_coincident
 from .polar import PolarCode, design_polar_code
 from .weave import decode_pool_batch, weave_encode
 
@@ -147,11 +147,11 @@ def run_construction_sweep(config: ExperimentConfig) -> list[tuple[PolarCode, in
     return [_construct(config, delta) for delta in config.delta_list]
 
 
-def _pool_batch_size(n: int, width: int, pools: int) -> int:
-    # pools that decode in lock step: about 64 MB for the one unpacked
-    # component; a waiting quaternary component adds an eighth of that as one
-    # packed bit plane, the packed truth bits an eighth of the decoded info
-    return max(1, min(pools, (1 << 26) // max(n * width, 1)))
+def _pool_batch_size(n: int, width: int, pools: int, parts: int) -> int:
+    # pools that decode in lock step, parts components each: no more
+    # components than pools and about 64 MB of unpacked observations; the
+    # packed truth bits add an eighth of the decoded info
+    return max(1, min(pools, (1 << 26) // max(n * width, 1)) // parts)
 
 
 def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: float
@@ -171,12 +171,29 @@ def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: 
     return info, np.stack([obs for obs, _ in parts])
 
 
+def _batch_failures(code: PolarCode, kind: str, delta: float, cell_seed: int,
+                    start: int, count: int, width: int) -> list[int]:
+    # Pools start .. start + count - 1 decode as one batch, column
+    # b * parts + c holding component c of pool b; a pool fails when any
+    # decoded info bit of any component differs from the truth.
+    mode, parts = _KINDS[kind]
+    obs = np.empty((width, count * parts, code.n), dtype=np.uint8)  # position-major
+    truth = np.empty((count * parts, STRAND_LENGTH, (code.k + 7) // 8), dtype=np.uint8)
+    for b in range(count):
+        rng = np.random.default_rng([cell_seed, start + b])
+        info, pool_obs = _generate_pool(rng, code, kind, delta)
+        truth[b * parts:(b + 1) * parts] = np.packbits(info, axis=-1)
+        obs[:, b * parts:(b + 1) * parts] = pool_obs.transpose(2, 0, 1)
+    info = decode_pool_batch(obs.transpose(1, 2, 0), code, mode, STRAND_LENGTH).info_bits
+    bad = (np.packbits(info, axis=-1) != truth).any(axis=(1, 2)).reshape(count, parts)
+    return [start + int(b) for b in np.flatnonzero(bad.any(axis=1))]
+
+
 def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
-    # Each component decodes as its own batch of pools; a pool fails when
-    # any decoded info bit of any component differs from the truth.
     mode, parts = _KINDS[kind]
     width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
+    batch = _pool_batch_size(config.n, width, config.pools, parts)
     results = []
     for delta in config.delta_list:
         code = codes[delta] if codes and delta in codes else _construct(config, delta)[0]
@@ -185,36 +202,9 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
         cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
         t0 = time.perf_counter()
         failed: list[int] = []
-        batch = _pool_batch_size(config.n, width, config.pools)
         for start in range(0, config.pools, batch):
             count = min(batch, config.pools - start)
-            # position-major; the component being decoded reaches the decoder
-            # as a view, the imag one waits as its bits packed along strands
-            obs = np.empty((width, count, config.n), dtype=np.uint8)
-            waiting = np.empty((parts - 1, width, count, (config.n + 7) // 8), dtype=np.uint8)
-            truth = np.empty((parts, count, STRAND_LENGTH, (code.k + 7) // 8), dtype=np.uint8)
-            for b in range(count):
-                rng = np.random.default_rng([cell_seed, start + b])
-                info, pool_obs = _generate_pool(rng, code, kind, delta)
-                truth[:, b] = np.packbits(info, axis=-1)
-                obs[:, b] = pool_obs[0].T
-                for plane, part in zip(waiting, pool_obs[1:]):
-                    # made C-ordered in the same pass: packing along a
-                    # strided axis is 2-3x slower
-                    plane[:, b] = np.packbits(np.bitwise_and(part.T, 1, order="C"), axis=-1)
-            bad = np.zeros(count, dtype=bool)
-            for c in range(parts):
-                if c:
-                    # the erasures are shared: & ERASURE keeps each one and
-                    # zeroes each bit, then the bits are ORed in row by row
-                    obs &= ERASURE
-                    for row, bits in zip(obs, waiting[c - 1]):
-                        row |= np.unpackbits(bits, axis=-1, count=config.n)
-                info = decode_pool_batch(obs.transpose(1, 2, 0), code, mode,
-                                         STRAND_LENGTH).info_bits
-                bad |= (np.packbits(info, axis=-1) != truth[c]).any(axis=(1, 2))
-                del info  # freed before the next component decodes
-            failed.extend(int(start + i) for i in np.flatnonzero(bad))
+            failed += _batch_failures(code, kind, delta, cell_seed, start, count, width)
             _progress("pools", t0, n=config.n, delta=delta, kind=kind, done=start + count,
                       pools=config.pools, failures=len(failed))
         results.append(ExperimentResult(

@@ -341,6 +341,11 @@ def test_polar_code_validation():
     with pytest.raises(ValueError):
         PolarCode(n=8, design_delta=0.01, equivocations=np.zeros(8),
                   info_set=np.array([3, 1]))
+    # indices an int64 cast would change are refused, an empty list is not
+    for info_set in ([0.5, 1.7, 2.2], [np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="integer indices"):
+            PolarCode(n=4, design_delta=0.1, equivocations=np.zeros(4), info_set=info_set)
+    assert PolarCode(n=4, design_delta=0.1, equivocations=np.zeros(4), info_set=[]).k == 0
     # the frozen mask is derived from the info set, never passed in
     with pytest.raises(TypeError):
         PolarCode(n=8, design_delta=0.01, equivocations=np.zeros(8),
@@ -383,7 +388,11 @@ def test_equivocations_csv_rejects_out_of_order_rows(tmp_path):
     text = format_equivocations_csv([0.5, 0.25], {}).replace("1,0.25", "2,0.25")
     path = tmp_path / "eq.csv"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path} row 3: index 2 out of order")):
+        read_equivocations_csv(str(path))
+    # a file with no rows is named too
+    path.write_text("# n=2\nindex,equivocation\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no equivocation rows")):
         read_equivocations_csv(str(path))
     # a row that is not an index and a float is named, file and row
     good = format_equivocations_csv([0.5, 0.25], {"n": 2})

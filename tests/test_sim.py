@@ -117,8 +117,8 @@ def test_pool_experiment_deterministic():
 
 
 def test_pool_experiment_batch_size_invariant(monkeypatch):
-    # n=2 and n=4 pad the strand axis when a waiting quaternary component is
-    # packed; n=2 needs a looser threshold and a lower error rate to keep k > 0 and
+    # n=2 and n=4 have k below 8, so the packed truth bits pad their byte;
+    # n=2 needs a looser threshold and a lower error rate to keep k > 0 and
     # fail only some of its pools.  run_pool_experiment on a quaternary config
     # and run_quaternary_pool_experiment on a deletion one run the same cell.
     cells = ((SMALL, 1.0), (dict(SMALL, n=4), 1.0),
@@ -139,7 +139,8 @@ def test_pool_experiment_batch_size_invariant(monkeypatch):
             assert 0 < row.failure_count < cfg.pools, "cell should fail some pools"
         with monkeypatch.context() as m:
             for size in (1, 7, 1000):
-                m.setattr(sim, "_pool_batch_size", lambda n, width, pools, size=size: size)
+                m.setattr(sim, "_pool_batch_size",
+                          lambda n, width, pools, parts, size=size: size)
                 assert run_all(cfg, codes) == base
 
 
@@ -214,9 +215,9 @@ def test_replay_reproduces_quaternary_failures():
 
 def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
     # failed-pool lists hardly depend on reads of erasure padding, so a
-    # waiting component that lost its erasures would not show there: check
-    # what each decode is handed against the pools' own observations.  n=4
-    # pads the strand axis when the imag component is packed, and needs a
+    # component read from the wrong column would hardly show there: check
+    # what each decode is handed against the pools' own observations, pool
+    # b's components side by side in columns 2b and 2b + 1.  n=4 needs a
     # loose threshold to keep k > 0; batches of 4 leave a last batch of 1.
     calls = []
     decode = sim.decode_pool_batch
@@ -226,7 +227,7 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
         return decode(obs, *args)
 
     monkeypatch.setattr(sim, "decode_pool_batch", recording)
-    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools: 4)
+    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 4)
     for n in (4, 64):
         cfg = ExperimentConfig(n=n, delta_list=(0.05,), error_kind="deletion", pools=9,
                                construction_samples=100, master_seed=3)
@@ -237,19 +238,19 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
                                             code, "quaternary", 0.05)[1]
                          for i in range(cfg.pools)])
         assert (want == ERASURE).any() and (want[:, 1] != want[:, 0]).any()
-        assert len(calls) == 6  # real then imag, for each of 3 batches
-        for c in range(2):
-            assert (np.concatenate(calls[c::2]) == want[:, c]).all()
+        assert len(calls) == 3  # one decode per batch, both components in it
+        got = np.concatenate(calls)
+        assert (got == want.reshape(2 * cfg.pools, n, -1)).all()
 
 
 def test_quaternary_cell_holds_one_unpacked_component():
-    # A batch must hold the component being decoded, unpacked (256 x pools x n
-    # bytes); the waiting component as one bit plane packed along strands;
-    # both components' truth bits packed along k; and the decoded info bits
-    # (pools x 256 x k bytes).  The bound allows one more unpacked component
-    # for what works beside them: the pool being generated, the decoder's
-    # per-position buffers and the SC plan, about half a component here.
-    # Holding both components and the truth unpacked would need
+    # A batch decodes half the pools, both components side by side, so it
+    # holds one component's worth of observations unpacked (256 x pools x n
+    # bytes); both components' truth bits packed along k; and the decoded
+    # info bits (pools x 256 x k bytes).  The bound allows one more unpacked
+    # component for what works beside them: the pool being generated, the
+    # decoder's per-position buffers and the SC plan, about half a component
+    # here.  Holding both components and the truth unpacked would need
     # 2 x 256 x pools x (n + k) + pools x 256 x k bytes of arrays alone,
     # which is above the bound.
     n, pools = 64, 64
@@ -257,8 +258,8 @@ def test_quaternary_cell_holds_one_unpacked_component():
                            construction_samples=200, master_seed=1)
     code = sim._construct(cfg, 0.01)[0]
     component = STRAND_LENGTH * pools * n
-    held = (component + STRAND_LENGTH * pools * (n // 8)
-            + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8) + pools * STRAND_LENGTH * code.k)
+    held = (component + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8)
+            + pools * STRAND_LENGTH * code.k)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -267,6 +268,16 @@ def test_quaternary_cell_holds_one_unpacked_component():
     finally:
         tracemalloc.stop()
     assert peak < held + component, (peak, held, component)
+
+
+def test_pool_batch_size_counts_components():
+    # a decode is never wider than the pool count or 2^26 observation bytes,
+    # and a quaternary batch takes half the pools so both components fit
+    rule = sim._pool_batch_size
+    assert rule(256, 256, 256, 1) == rule(256, 512, 256, 1) == 256
+    assert rule(256, 256, 256, 2) == 128
+    assert (rule(4096, 256, 100, 1), rule(4096, 256, 100, 2)) == (64, 32)
+    assert rule(16, 256, 3, 2) == rule(16, 256, 1, 2) == 1
 
 
 def test_quaternary_experiment_rejects_other_kinds():
@@ -335,7 +346,7 @@ def _progress_lines(err: str) -> list[tuple[str, dict[str, str]]]:
 
 def test_progress_lines_report_constructions_and_counts(capsys, monkeypatch):
     # batches of 16 over 40 pools: three pools lines per cell
-    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools: 16)
+    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 16)
     cfg = ExperimentConfig(**dict(SMALL, delta_list=(0.02, 0.05)))
     codes = {d: sim._construct(cfg, d)[0] for d in cfg.delta_list}
     capsys.readouterr()
