@@ -19,6 +19,14 @@ as packed bits.  The batch rule counts components, so a decode is no
 wider than the pool count or about 64 MB of observations, whatever the
 kind.
 
+A batch decodes on every core the process may run on: it splits into
+contiguous shares of at least 128 columns, at most one per core, each
+decoded by a forked worker process, and the parent merges their failed
+pools in share order.  Pools draw from their own streams, so failed-pool
+lists are independent of the worker count, as they are of the batch size.
+A batch too narrow to split, a process limited to one core, or a platform
+without fork decodes in the calling process.
+
 A result row holds only what the seed fixes, so reruns compare equal:
 results_to_csv writes each cell's cell_seed and failed_pools, and
 replay_pool regenerates any one pool from them.  Progress and timings go
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec, apply_channel_pool, delete_pool_coincident
-from .polar import PolarCode, design_polar_code
+from .polar import PolarCode, _workers, design_polar_code
 from .weave import decode_pool_batch, weave_encode
 
 __all__ = [
@@ -189,28 +197,80 @@ def _batch_failures(code: PolarCode, kind: str, delta: float, cell_seed: int,
     return [start + int(b) for b in np.flatnonzero(bad.any(axis=1))]
 
 
+# A batch is split over processes only into shares of at least this many
+# decoded columns: SC costs more per codeword below it (12.5 us at 256
+# columns, 16.7 at 128, 31.7 at 64 on a 2-core VM at n=256).
+_MIN_COLUMNS = 128
+
+
+def _shares(count: int, parts: int, workers: int) -> list[tuple[int, int]]:
+    # (first pool, pools) of each contiguous share of a batch of count pools:
+    # at most workers shares, as equal as they come and, unless there is only
+    # one, none narrower than _MIN_COLUMNS columns
+    w = max(1, min(workers, count // -(-_MIN_COLUMNS // parts)))
+    bounds = [count * i // w for i in range(w + 1)]
+    return [(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def _fork_executor(workers: int):
+    # an executor of forked worker processes, or None where this platform
+    # cannot fork.  A forked worker starts with numpy and genoweave already
+    # imported, where a spawned one would import them again on every call;
+    # fork is safe because genoweave runs no other thread by then
+    # (construction's threads have exited).  Imported here, so that a run
+    # whose batches never split pays nothing for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    return ProcessPoolExecutor(workers, mp_context=context)
+
+
 def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
     mode, parts = _KINDS[kind]
     width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
     batch = _pool_batch_size(config.n, width, config.pools, parts)
+    workers = _workers()
+    executor = None  # forked on the first batch that splits, shut down on the way out
     results = []
-    for delta in config.delta_list:
-        code = codes[delta] if codes and delta in codes else _construct(config, delta)[0]
-        if code.n != config.n:  # its strands would not fit the pool arrays
-            raise ValueError(f"code for delta {delta} has n={code.n}, the config n={config.n}")
-        cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
-        t0 = time.perf_counter()
-        failed: list[int] = []
-        for start in range(0, config.pools, batch):
-            count = min(batch, config.pools - start)
-            failed += _batch_failures(code, kind, delta, cell_seed, start, count, width)
-            _progress("pools", t0, n=config.n, delta=delta, kind=kind, done=start + count,
-                      pools=config.pools, failures=len(failed))
-        results.append(ExperimentResult(
-            n=config.n, delta=delta, error_kind=kind, pools_run=config.pools,
-            code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,
-            failed_pools=tuple(failed)))
+    try:
+        for delta in config.delta_list:
+            code = codes[delta] if codes and delta in codes else _construct(config, delta)[0]
+            if code.n != config.n:  # its strands would not fit the pool arrays
+                raise ValueError(f"code for delta {delta} has n={code.n}, "
+                                 f"the config n={config.n}")
+            cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
+            cell = (code, kind, delta, cell_seed)
+            t0 = time.perf_counter()
+            failed: list[int] = []
+            for start in range(0, config.pools, batch):
+                count = min(batch, config.pools - start)
+                shares = _shares(count, parts, workers)
+                if len(shares) > 1 and executor is None:
+                    # the first batch is the widest, so it sizes the executor
+                    executor = _fork_executor(len(shares))
+                    if executor is None:  # no fork here: every batch runs inline
+                        workers, shares = 1, [(0, count)]
+                if len(shares) == 1:
+                    failed += _batch_failures(*cell, start, count, width)
+                else:
+                    # shares merge in order, so failed stays ascending
+                    futures = [executor.submit(_batch_failures, *cell, start + a, c, width)
+                               for a, c in shares]
+                    for future in futures:
+                        failed += future.result()
+                _progress("pools", t0, n=config.n, delta=delta, kind=kind, done=start + count,
+                          pools=config.pools, failures=len(failed), workers=len(shares))
+            results.append(ExperimentResult(
+                n=config.n, delta=delta, error_kind=kind, pools_run=config.pools,
+                code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,
+                failed_pools=tuple(failed)))
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
     return results
 
 

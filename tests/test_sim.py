@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from genoweave import sim
 from genoweave.channels import ERASURE
-from genoweave.polar import design_polar_code, make_polar_code
+from genoweave.polar import PolarCode, design_polar_code, make_polar_code
 from genoweave.rates import capacity
 from genoweave.sim import (
     STRAND_LENGTH,
@@ -228,6 +230,8 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
 
     monkeypatch.setattr(sim, "decode_pool_batch", recording)
     monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 4)
+    # a decode in a worker process would not reach the spy
+    monkeypatch.setattr(sim, "_workers", lambda: 1)
     for n in (4, 64):
         cfg = ExperimentConfig(n=n, delta_list=(0.05,), error_kind="deletion", pools=9,
                                construction_samples=100, master_seed=3)
@@ -243,7 +247,7 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
         assert (got == want.reshape(2 * cfg.pools, n, -1)).all()
 
 
-def test_quaternary_cell_holds_one_unpacked_component():
+def test_quaternary_cell_holds_one_unpacked_component(monkeypatch):
     # A batch decodes half the pools, both components side by side, so it
     # holds one component's worth of observations unpacked (256 x pools x n
     # bytes); both components' truth bits packed along k; and the decoded
@@ -260,6 +264,8 @@ def test_quaternary_cell_holds_one_unpacked_component():
     component = STRAND_LENGTH * pools * n
     held = (component + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8)
             + pools * STRAND_LENGTH * code.k)
+    # tracemalloc sees this process only, so every batch decodes in it
+    monkeypatch.setattr(sim, "_workers", lambda: 1)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -278,6 +284,113 @@ def test_pool_batch_size_counts_components():
     assert rule(256, 256, 256, 2) == 128
     assert (rule(4096, 256, 100, 1), rule(4096, 256, 100, 2)) == (64, 32)
     assert rule(16, 256, 3, 2) == rule(16, 256, 1, 2) == 1
+
+
+def test_shares_are_contiguous_and_never_under_the_floor(monkeypatch):
+    # the bench's batches split in two on two cores; a batch under two
+    # floors' worth of columns does not split, nor one pool of any width
+    shares = sim._shares
+    assert shares(256, 1, 2) == [(0, 128), (128, 128)]
+    assert shares(128, 2, 2) == [(0, 64), (64, 64)]
+    assert shares(255, 1, 2) == shares(255, 1, 8) == [(0, 255)]
+    assert shares(64, 1, 2) == [(0, 64)]  # n=4096: 64-column batches run inline
+    assert shares(1000, 1, 3) == [(0, 333), (333, 333), (666, 334)]
+    for floor in (1, 3, 128):
+        monkeypatch.setattr(sim, "_MIN_COLUMNS", floor)
+        for parts in (1, 2):
+            for workers in (1, 2, 3, 8):
+                for count in (*range(1, 20), 127, 128, 129, 255, 256, 257, 1000):
+                    got = shares(count, parts, workers)
+                    assert 1 <= len(got) <= workers
+                    assert [a for a, _ in got] == [sum(c for _, c in got[:i])
+                                                   for i in range(len(got))]
+                    assert sum(c for _, c in got) == count
+                    assert len(got) == 1 or min(c for _, c in got) * parts >= floor
+
+
+def _sparse_code(n: int, delta: float) -> PolarCode:
+    # few info bits, so a decode at n=4096 runs a short SC plan: the 32
+    # channels of largest index weight, which polarize best, and channel
+    # 185, which fails some pools of every kind at delta = 1%
+    weight = np.array([bin(j).count("1") for j in range(n)])
+    info = np.union1d(np.argsort(-weight, kind="stable")[:32], [185])
+    return PolarCode(n=n, design_delta=delta, equivocations=np.zeros(n), info_set=info)
+
+
+@pytest.mark.parametrize("n", (64, 4096))
+def test_failed_pools_independent_of_worker_count(monkeypatch, capsys, n):
+    # A floor of one column lets batches of 7 and of all pools split over
+    # the patched worker count; a batch of one pool never splits.  The rows
+    # must equal the one-process rows, and each batch's progress line names
+    # the shares it split into.
+    if n == 64:
+        cfg = ExperimentConfig(**dict(SMALL, pools=10))
+        codes = {0.02: _loose_code(cfg, 0.02, 1.0)}
+    else:
+        cfg = ExperimentConfig(n=n, delta_list=(0.01,), pools=3, master_seed=1)
+        codes = {0.01: _sparse_code(n, 0.01)}
+    monkeypatch.setattr(sim, "_MIN_COLUMNS", 1)
+    split = 0
+    for kind in sim.ERROR_KINDS:
+        kcfg = dataclasses.replace(cfg, error_kind=kind)
+        base = None
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sim, "_workers", lambda workers=workers: workers)
+            for size in (1, 7, 1000):
+                monkeypatch.setattr(sim, "_pool_batch_size",
+                                    lambda n, width, pools, parts, size=size: size)
+                capsys.readouterr()
+                rows = run_pool_experiment(kcfg, codes)
+                assert multiprocessing.active_children() == []
+                base = base or rows
+                assert rows == base, (kind, workers, size)
+                lines = [f for stage, f in _progress_lines(capsys.readouterr().err)
+                         if stage == "pools"]
+                want = [len(sim._shares(min(size, cfg.pools - start), sim._KINDS[kind][1],
+                                        workers))
+                        for start in range(0, cfg.pools, size)]
+                assert [int(f["workers"]) for f in lines] == want
+                split += max(want) > 1
+        assert 0 < base[0].failure_count < cfg.pools, f"{kind} should fail some pools"
+    assert split == 4 * 4  # every kind split at 2 and 3 workers, batches of 7 and all
+
+
+def test_worker_value_error_surfaces_unchanged(monkeypatch):
+    # the error is raised only in worker processes, and reaches the caller
+    # with its type and message; no worker outlives the call
+    parent = os.getpid()
+    generate = sim._generate_pool
+
+    def refusing(*args):
+        if os.getpid() != parent:
+            raise ValueError("pool refused in a worker")
+        return generate(*args)
+
+    monkeypatch.setattr(sim, "_generate_pool", refusing)
+    monkeypatch.setattr(sim, "_MIN_COLUMNS", 1)
+    monkeypatch.setattr(sim, "_workers", lambda: 2)
+    with pytest.raises(ValueError) as raised:
+        run_pool_experiment(ExperimentConfig(**dict(SMALL, pools=6)))
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "pool refused in a worker"
+    assert multiprocessing.active_children() == []
+
+
+def test_batches_run_inline_where_fork_is_unavailable(monkeypatch, capsys):
+    cfg = ExperimentConfig(**dict(SMALL, pools=12))
+    base = run_pool_experiment(cfg)
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(sim, "_MIN_COLUMNS", 1)
+    monkeypatch.setattr(sim, "_workers", lambda: 2)
+    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 5)
+    capsys.readouterr()
+    assert run_pool_experiment(cfg) == base
+    lines = [f for stage, f in _progress_lines(capsys.readouterr().err) if stage == "pools"]
+    assert [(f["done"], f["workers"]) for f in lines] == [("5", "1"), ("10", "1"), ("12", "1")]
 
 
 def test_quaternary_experiment_rejects_other_kinds():
@@ -345,8 +458,12 @@ def _progress_lines(err: str) -> list[tuple[str, dict[str, str]]]:
 
 
 def test_progress_lines_report_constructions_and_counts(capsys, monkeypatch):
-    # batches of 16 over 40 pools: three pools lines per cell
+    # batches of 16 over 40 pools: three pools lines per cell.  With two
+    # workers and a floor of 8 columns the full batches split in two and
+    # the last batch of 8 runs inline.
     monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 16)
+    monkeypatch.setattr(sim, "_workers", lambda: 2)
+    monkeypatch.setattr(sim, "_MIN_COLUMNS", 8)
     cfg = ExperimentConfig(**dict(SMALL, delta_list=(0.02, 0.05)))
     codes = {d: sim._construct(cfg, d)[0] for d in cfg.delta_list}
     capsys.readouterr()
@@ -362,6 +479,7 @@ def test_progress_lines_report_constructions_and_counts(capsys, monkeypatch):
             pools = [f for stage, f in lines
                      if stage == "pools" and float(f["delta"]) == row.delta]
             assert [int(f["done"]) for f in pools] == [16, 32, 40]
+            assert [int(f["workers"]) for f in pools] == [2, 2, 1]
             last = pools[-1]
             assert int(last["done"]) == int(last["pools"]) == row.pools_run == 40
             assert int(last["failures"]) == row.failure_count
