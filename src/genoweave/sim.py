@@ -3,29 +3,30 @@
 Every random quantity hangs off the master seed through named derivation:
 the construction for (n, delta) uses seed derive(master, "construct", n,
 delta); pool i of a cell uses stream (derive(master, "pools", kind, n,
-delta), i).  Pools decode in lock step in batches as wide as a memory
-rule allows, purely for vector width, so failure counts are bit-identical
-whatever the batch size.
+delta), i).  A cell's pools decode in lock step over contiguous ranges,
+purely for vector width, so failure counts are bit-identical whatever the
+range width.
 
 ERROR_KINDS lists the four experiment kinds, and this module is the one
 place that knows them: substitution, deletion and insertion pools are one
 binary component each; a quaternary pool is a (real, imag) pair that
 loses the same indices to one deletion pattern.  Every kind runs through
-run_pool_experiment.  A batch decodes in one call with each pool's
+run_pool_experiment.  A range decodes in one call with each pool's
 components side by side, as replay_pool decodes one pool: its
 observations are held unpacked and position-major (the order the decoder
 reads, so they reach it without a copy), the info bits to check against
-as packed bits.  The batch rule counts components, so a decode is no
-wider than the pool count or about 64 MB of observations, whatever the
-kind.
+as packed bits.
 
-A batch decodes on every core the process may run on: it splits into
-contiguous shares of at least 128 columns, at most one per core, each
-decoded by a forked worker process, and the parent merges their failed
-pools in share order.  Pools draw from their own streams, so failed-pool
-lists are independent of the worker count, as they are of the batch size.
-A batch too narrow to split, a process limited to one core, or a platform
-without fork decodes in the calling process.
+One rule sizes the ranges of a cell, once per call: the processes that
+decode it hold no more columns at once than there are pools, nor than
+about 64 MB of observations, and there is at most one per core the
+caller may run on, each taking at least 128 columns.  With more than
+one, the ranges go in order to one executor of forked worker processes
+per call, and their failed pools come back in range order.  Pools draw
+from their own streams, so failed-pool lists are independent of the
+worker count, as they are of the range width.  A cell too narrow to
+split, a process limited to one core, or a platform without fork decodes
+in the calling process.
 
 A result row holds only what the seed fixes, so reruns compare equal:
 results_to_csv writes each cell's cell_seed and failed_pools, and
@@ -36,11 +37,13 @@ are returned (or formatted as CSV) for the caller to write.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +87,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "pools", "construction_samples", "master_seed"):
+            value = getattr(self, name)
+            try:  # 2.5 pools would only fail later, in range()
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
         _check_kind(self.error_kind)
@@ -121,15 +130,23 @@ class ExperimentResult:
 
 
 def derive_seed(*parts) -> int:
-    """Collapse mixed (int, float, str) parts into one reproducible 64-bit seed."""
+    """Collapse mixed (int, float, str) parts into one reproducible 64-bit seed.
+
+    A float, numpy's included, hashes by the IEEE bits of float(p); any
+    other part must be an integer, so a Fraction or Decimal is refused
+    rather than truncated onto the seed of an integer.
+    """
     ints: list[int] = []
     for p in parts:
         if isinstance(p, str):
             ints.append(zlib.crc32(p.encode()))
-        elif isinstance(p, float):
-            ints.append(struct.unpack("<Q", struct.pack("<d", p))[0])
+        elif isinstance(p, (float, np.floating)):
+            ints.append(struct.unpack("<Q", struct.pack("<d", float(p)))[0])
         else:
-            ints.append(int(p))
+            try:
+                ints.append(operator.index(p))
+            except TypeError:
+                raise TypeError(f"seed part {p!r} is not an int, float or str") from None
     return int(np.random.SeedSequence(ints).generate_state(1, np.uint64)[0])
 
 
@@ -155,13 +172,6 @@ def run_construction_sweep(config: ExperimentConfig) -> list[tuple[PolarCode, in
     return [_construct(config, delta) for delta in config.delta_list]
 
 
-def _pool_batch_size(n: int, width: int, pools: int, parts: int) -> int:
-    # pools that decode in lock step, parts components each: no more
-    # components than pools and about 64 MB of unpacked observations; the
-    # packed truth bits add an eighth of the decoded info
-    return max(1, min(pools, (1 << 26) // max(n * width, 1)) // parts)
-
-
 def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one pool of the given kind from its stream: the info bits, then the channel.
@@ -180,7 +190,7 @@ def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: 
 
 
 def _batch_failures(code: PolarCode, kind: str, delta: float, cell_seed: int,
-                    start: int, count: int, width: int) -> list[int]:
+                    width: int, start: int, count: int) -> list[int]:
     # Pools start .. start + count - 1 decode as one batch, column
     # b * parts + c holding component c of pool b; a pool fails when any
     # decoded info bit of any component differs from the truth.
@@ -197,28 +207,33 @@ def _batch_failures(code: PolarCode, kind: str, delta: float, cell_seed: int,
     return [start + int(b) for b in np.flatnonzero(bad.any(axis=1))]
 
 
-# A batch is split over processes only into shares of at least this many
-# decoded columns: SC costs more per codeword below it (12.5 us at 256
+# A cell decodes on several processes only if each can take at least this
+# many columns at once: SC costs more per codeword below it (12.5 us at 256
 # columns, 16.7 at 128, 31.7 at 64 on a 2-core VM at n=256).
 _MIN_COLUMNS = 128
 
 
-def _shares(count: int, parts: int, workers: int) -> list[tuple[int, int]]:
-    # (first pool, pools) of each contiguous share of a batch of count pools:
-    # at most workers shares, as equal as they come and, unless there is only
-    # one, none narrower than _MIN_COLUMNS columns
-    w = max(1, min(workers, count // -(-_MIN_COLUMNS // parts)))
-    bounds = [count * i // w for i in range(w + 1)]
-    return [(a, b - a) for a, b in zip(bounds, bounds[1:])]
+def _ranges(n: int, width: int, pools: int, parts: int,
+            workers: int) -> tuple[int, list[tuple[int, int]]]:
+    # The processes that decode a cell, and the (first pool, pools) of each
+    # decode: contiguous ranges in pool order.  The processes together hold
+    # no more columns at once than there are pools, nor than about 64 MB of
+    # unpacked observations, parts per pool; at most workers of them, each
+    # taking at least _MIN_COLUMNS.
+    columns = min(pools, (1 << 26) // (n * width))
+    processes = max(1, min(workers, columns // _MIN_COLUMNS))
+    per = max(1, columns // processes // parts)
+    return processes, [(a, min(per, pools - a)) for a in range(0, pools, per)]
 
 
 def _fork_executor(workers: int):
     # an executor of forked worker processes, or None where this platform
     # cannot fork.  A forked worker starts with numpy and genoweave already
     # imported, where a spawned one would import them again on every call;
-    # fork is safe because genoweave runs no other thread by then
-    # (construction's threads have exited).  Imported here, so that a run
-    # whose batches never split pays nothing for them.
+    # they fork on the first decode the executor is handed, when genoweave
+    # runs no other thread (the first cell's construction threads have
+    # exited).  Imported here, so that a run decoded in one process pays
+    # nothing for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     try:
@@ -232,9 +247,10 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
     mode, parts = _KINDS[kind]
     width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
-    batch = _pool_batch_size(config.n, width, config.pools, parts)
-    workers = _workers()
-    executor = None  # forked on the first batch that splits, shut down on the way out
+    processes, ranges = _ranges(config.n, width, config.pools, parts, _workers())
+    executor = _fork_executor(processes) if processes > 1 else None
+    if executor is None:  # one process, or no fork here: decode in this one
+        processes, ranges = _ranges(config.n, width, config.pools, parts, 1)
     results = []
     try:
         for delta in config.delta_list:
@@ -243,27 +259,15 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                 raise ValueError(f"code for delta {delta} has n={code.n}, "
                                  f"the config n={config.n}")
             cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
-            cell = (code, kind, delta, cell_seed)
+            decode = partial(_batch_failures, code, kind, delta, cell_seed, width)
             t0 = time.perf_counter()
             failed: list[int] = []
-            for start in range(0, config.pools, batch):
-                count = min(batch, config.pools - start)
-                shares = _shares(count, parts, workers)
-                if len(shares) > 1 and executor is None:
-                    # the first batch is the widest, so it sizes the executor
-                    executor = _fork_executor(len(shares))
-                    if executor is None:  # no fork here: every batch runs inline
-                        workers, shares = 1, [(0, count)]
-                if len(shares) == 1:
-                    failed += _batch_failures(*cell, start, count, width)
-                else:
-                    # shares merge in order, so failed stays ascending
-                    futures = [executor.submit(_batch_failures, *cell, start + a, c, width)
-                               for a, c in shares]
-                    for future in futures:
-                        failed += future.result()
+            # either map yields in range order, so failed stays ascending
+            decoded = (executor.map if executor else map)(decode, *zip(*ranges))
+            for (start, count), range_failed in zip(ranges, decoded):
+                failed += range_failed
                 _progress("pools", t0, n=config.n, delta=delta, kind=kind, done=start + count,
-                          pools=config.pools, failures=len(failed), workers=len(shares))
+                          pools=config.pools, failures=len(failed), workers=processes)
             results.append(ExperimentResult(
                 n=config.n, delta=delta, error_kind=kind, pools_run=config.pools,
                 code_rate=code.rate, seed=config.master_seed, cell_seed=cell_seed,

@@ -4,7 +4,11 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -60,6 +64,19 @@ def test_derive_seed_distinguishes_types_and_order():
 
 def test_derive_seed_distinguishes_close_floats():
     assert derive_seed(0, 0.01) != derive_seed(0, 0.010000000000000002)
+
+
+def test_derive_seed_hashes_numpy_floats_and_refuses_non_integers():
+    # a numpy float hashes by its value as a Python float, not truncated to
+    # an integer; numpy integers are integers
+    assert derive_seed(np.float32(0.5)) == derive_seed(0.5) != derive_seed(0)
+    assert derive_seed(np.float64(0.01), 3) == derive_seed(0.01, 3)
+    assert derive_seed(np.int64(7), "pools") == derive_seed(7, "pools")
+    # a number that is neither would collide with the integer it truncates to
+    for part in (Fraction(1, 2), Decimal("0.5")):
+        message = f"seed part {part!r} is not an int, float or str"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            derive_seed(0, part)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +158,7 @@ def test_pool_experiment_batch_size_invariant(monkeypatch):
             assert 0 < row.failure_count < cfg.pools, "cell should fail some pools"
         with monkeypatch.context() as m:
             for size in (1, 7, 1000):
-                m.setattr(sim, "_pool_batch_size",
-                          lambda n, width, pools, parts, size=size: size)
+                m.setattr(sim, "_ranges", _ranges_of(size))
                 assert run_all(cfg, codes) == base
 
 
@@ -220,7 +236,7 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
     # component read from the wrong column would hardly show there: check
     # what each decode is handed against the pools' own observations, pool
     # b's components side by side in columns 2b and 2b + 1.  n=4 needs a
-    # loose threshold to keep k > 0; batches of 4 leave a last batch of 1.
+    # loose threshold to keep k > 0; ranges of 4 leave a last range of 1.
     calls = []
     decode = sim.decode_pool_batch
 
@@ -229,7 +245,7 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
         return decode(obs, *args)
 
     monkeypatch.setattr(sim, "decode_pool_batch", recording)
-    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 4)
+    monkeypatch.setattr(sim, "_ranges", _ranges_of(4))
     # a decode in a worker process would not reach the spy
     monkeypatch.setattr(sim, "_workers", lambda: 1)
     for n in (4, 64):
@@ -242,13 +258,13 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
                                             code, "quaternary", 0.05)[1]
                          for i in range(cfg.pools)])
         assert (want == ERASURE).any() and (want[:, 1] != want[:, 0]).any()
-        assert len(calls) == 3  # one decode per batch, both components in it
+        assert len(calls) == 3  # one decode per range, both components in it
         got = np.concatenate(calls)
         assert (got == want.reshape(2 * cfg.pools, n, -1)).all()
 
 
 def test_quaternary_cell_holds_one_unpacked_component(monkeypatch):
-    # A batch decodes half the pools, both components side by side, so it
+    # A range decodes half the pools, both components side by side, so it
     # holds one component's worth of observations unpacked (256 x pools x n
     # bytes); both components' truth bits packed along k; and the decoded
     # info bits (pools x 256 x k bytes).  The bound allows one more unpacked
@@ -264,7 +280,7 @@ def test_quaternary_cell_holds_one_unpacked_component(monkeypatch):
     component = STRAND_LENGTH * pools * n
     held = (component + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8)
             + pools * STRAND_LENGTH * code.k)
-    # tracemalloc sees this process only, so every batch decodes in it
+    # tracemalloc sees this process only, so every range decodes in it
     monkeypatch.setattr(sim, "_workers", lambda: 1)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -276,36 +292,58 @@ def test_quaternary_cell_holds_one_unpacked_component(monkeypatch):
     assert peak < held + component, (peak, held, component)
 
 
-def test_pool_batch_size_counts_components():
-    # a decode is never wider than the pool count or 2^26 observation bytes,
-    # and a quaternary batch takes half the pools so both components fit
-    rule = sim._pool_batch_size
-    assert rule(256, 256, 256, 1) == rule(256, 512, 256, 1) == 256
-    assert rule(256, 256, 256, 2) == 128
-    assert (rule(4096, 256, 100, 1), rule(4096, 256, 100, 2)) == (64, 32)
-    assert rule(16, 256, 3, 2) == rule(16, 256, 1, 2) == 1
+def _ranges_of(size: int, rule=sim._ranges):
+    # the rule's processes, with ranges of size pools in place of its own;
+    # rule is bound at import, so it is never a patched stand-in
+
+    def ranges(n, width, pools, parts, workers):
+        processes, _ = rule(n, width, pools, parts, workers)
+        return processes, [(a, min(size, pools - a)) for a in range(0, pools, size)]
+    return ranges
 
 
-def test_shares_are_contiguous_and_never_under_the_floor(monkeypatch):
-    # the bench's batches split in two on two cores; a batch under two
-    # floors' worth of columns does not split, nor one pool of any width
-    shares = sim._shares
-    assert shares(256, 1, 2) == [(0, 128), (128, 128)]
-    assert shares(128, 2, 2) == [(0, 64), (64, 64)]
-    assert shares(255, 1, 2) == shares(255, 1, 8) == [(0, 255)]
-    assert shares(64, 1, 2) == [(0, 64)]  # n=4096: 64-column batches run inline
-    assert shares(1000, 1, 3) == [(0, 333), (333, 333), (666, 334)]
+def test_one_rule_sizes_every_decode_of_a_cell(monkeypatch):
+    rule = sim._ranges
+
+    def widths(*args):
+        processes, ranges = rule(*args)
+        return processes, [count for _, count in ranges]
+
+    # one process: a decode is never wider than the pool count or 2^26
+    # observation bytes, and a quaternary range takes half the pools so
+    # both components fit
+    assert widths(256, 256, 256, 1, 1) == widths(256, 512, 256, 1, 1) == (1, [256])
+    assert widths(256, 256, 256, 2, 1) == (1, [128, 128])
+    assert widths(4096, 256, 100, 1, 1) == (1, [64, 36])
+    assert widths(4096, 256, 100, 2, 1) == (1, [32, 32, 32, 4])
+    assert widths(16, 256, 3, 2, 1) == (1, [1, 1, 1])
+    assert widths(16, 256, 1, 2, 1) == (1, [1])
+    # two cores split the bench's cells into decodes of 128 columns each;
+    # a cell under two floors' worth of columns does not split, so the
+    # 64-column decodes at n=4096 stay in one process
+    assert widths(256, 256, 256, 1, 2) == widths(256, 512, 256, 1, 2) == (2, [128, 128])
+    assert widths(256, 256, 256, 2, 2) == (2, [64, 64, 64, 64])
+    assert widths(256, 256, 255, 1, 8) == (1, [255])
+    assert widths(4096, 256, 100, 1, 2) == (1, [64, 36])
+    assert widths(256, 256, 1000, 1, 3) == (3, [333, 333, 333, 1])
     for floor in (1, 3, 128):
         monkeypatch.setattr(sim, "_MIN_COLUMNS", floor)
-        for parts in (1, 2):
-            for workers in (1, 2, 3, 8):
-                for count in (*range(1, 20), 127, 128, 129, 255, 256, 257, 1000):
-                    got = shares(count, parts, workers)
-                    assert 1 <= len(got) <= workers
-                    assert [a for a, _ in got] == [sum(c for _, c in got[:i])
-                                                   for i in range(len(got))]
-                    assert sum(c for _, c in got) == count
-                    assert len(got) == 1 or min(c for _, c in got) * parts >= floor
+        for n, width in ((1, 256), (64, 512), (256, 256), (4096, 512)):
+            for parts in (1, 2):
+                for workers in (1, 2, 3, 8):
+                    for pools in (*range(1, 20), 127, 128, 129, 255, 256, 257, 1000):
+                        processes, ranges = rule(n, width, pools, parts, workers)
+                        starts, counts = zip(*ranges)
+                        columns = min(pools, (1 << 26) // (n * width))
+                        widest = max(counts)
+                        assert 1 <= processes <= workers
+                        assert processes == 1 or processes * floor <= columns
+                        # contiguous, in order, covering every pool once
+                        assert list(starts) == [0, *accumulate(counts)][:-1]
+                        assert sum(counts) == pools and min(counts) >= 1
+                        # the processes hold no more columns at once than
+                        # the rule allows, unless a range is a single pool
+                        assert widest == 1 or processes * widest * parts <= columns
 
 
 def _sparse_code(n: int, delta: float) -> PolarCode:
@@ -319,10 +357,10 @@ def _sparse_code(n: int, delta: float) -> PolarCode:
 
 @pytest.mark.parametrize("n", (64, 4096))
 def test_failed_pools_independent_of_worker_count(monkeypatch, capsys, n):
-    # A floor of one column lets batches of 7 and of all pools split over
-    # the patched worker count; a batch of one pool never splits.  The rows
-    # must equal the one-process rows, and each batch's progress line names
-    # the shares it split into.
+    # A floor of one column lets the cell split over the patched worker
+    # count, in the rule's own ranges and in ranges of 1 and 7 pools.  The
+    # rows must equal the one-process rows, and there is one progress line
+    # per range, naming the processes that decoded the cell.
     if n == 64:
         cfg = ExperimentConfig(**dict(SMALL, pools=10))
         codes = {0.02: _loose_code(cfg, 0.02, 1.0)}
@@ -330,15 +368,15 @@ def test_failed_pools_independent_of_worker_count(monkeypatch, capsys, n):
         cfg = ExperimentConfig(n=n, delta_list=(0.01,), pools=3, master_seed=1)
         codes = {0.01: _sparse_code(n, 0.01)}
     monkeypatch.setattr(sim, "_MIN_COLUMNS", 1)
+    rule = sim._ranges
     split = 0
     for kind in sim.ERROR_KINDS:
         kcfg = dataclasses.replace(cfg, error_kind=kind)
         base = None
         for workers in (1, 2, 3):
             monkeypatch.setattr(sim, "_workers", lambda workers=workers: workers)
-            for size in (1, 7, 1000):
-                monkeypatch.setattr(sim, "_pool_batch_size",
-                                    lambda n, width, pools, parts, size=size: size)
+            for size in (None, 1, 7):
+                monkeypatch.setattr(sim, "_ranges", _ranges_of(size) if size else rule)
                 capsys.readouterr()
                 rows = run_pool_experiment(kcfg, codes)
                 assert multiprocessing.active_children() == []
@@ -346,13 +384,16 @@ def test_failed_pools_independent_of_worker_count(monkeypatch, capsys, n):
                 assert rows == base, (kind, workers, size)
                 lines = [f for stage, f in _progress_lines(capsys.readouterr().err)
                          if stage == "pools"]
-                want = [len(sim._shares(min(size, cfg.pools - start), sim._KINDS[kind][1],
-                                        workers))
-                        for start in range(0, cfg.pools, size)]
-                assert [int(f["workers"]) for f in lines] == want
-                split += max(want) > 1
+                mode, parts = sim._KINDS[kind]
+                width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
+                processes, ranges = sim._ranges(n, width, cfg.pools, parts, workers)
+                assert [(int(f["done"]), int(f["workers"])) for f in lines] == \
+                    [(start + count, processes) for start, count in ranges]
+                split += processes > 1 and len(ranges) > 1
         assert 0 < base[0].failure_count < cfg.pools, f"{kind} should fail some pools"
-    assert split == 4 * 4  # every kind split at 2 and 3 workers, batches of 7 and all
+    # every kind splits at 2 and 3 workers, in ranges of 1 pool and in the
+    # rule's; of 7 pools too where there are more
+    assert split == 4 * 2 * (3 if n == 64 else 2)
 
 
 def test_worker_value_error_surfaces_unchanged(monkeypatch):
@@ -386,7 +427,7 @@ def test_batches_run_inline_where_fork_is_unavailable(monkeypatch, capsys):
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     monkeypatch.setattr(sim, "_MIN_COLUMNS", 1)
     monkeypatch.setattr(sim, "_workers", lambda: 2)
-    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 5)
+    monkeypatch.setattr(sim, "_ranges", _ranges_of(5))
     capsys.readouterr()
     assert run_pool_experiment(cfg) == base
     lines = [f for stage, f in _progress_lines(capsys.readouterr().err) if stage == "pools"]
@@ -425,6 +466,18 @@ def test_config_validation():
     # numpy's own message would not say which seed it refused
     with pytest.raises(ValueError, match="master seed must be nonnegative, got -1"):
         ExperimentConfig(n=64, delta_list=(0.01,), master_seed=-1)
+    # a count that is not an integer would fail later, in range(), without
+    # naming its field
+    for field in ("n", "pools", "construction_samples", "master_seed"):
+        for value in (2.5, 64.0, Fraction(64, 1)):
+            message = f"{field} must be an integer, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig(**{"n": 64, "delta_list": (0.01,), field: value})
+    cfg = ExperimentConfig(n=np.int64(64), delta_list=(0.01,), pools=np.int32(3),
+                           construction_samples=np.uint16(5), master_seed=np.int64(2))
+    assert (cfg.n, cfg.pools, cfg.construction_samples, cfg.master_seed) == (64, 3, 5, 2)
+    assert {type(v) for v in (cfg.n, cfg.pools, cfg.construction_samples,
+                              cfg.master_seed)} == {int}
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +511,10 @@ def _progress_lines(err: str) -> list[tuple[str, dict[str, str]]]:
 
 
 def test_progress_lines_report_constructions_and_counts(capsys, monkeypatch):
-    # batches of 16 over 40 pools: three pools lines per cell.  With two
-    # workers and a floor of 8 columns the full batches split in two and
-    # the last batch of 8 runs inline.
-    monkeypatch.setattr(sim, "_pool_batch_size", lambda n, width, pools, parts: 16)
-    monkeypatch.setattr(sim, "_workers", lambda: 2)
+    # With three workers and a floor of 8 columns, 40 pools decode on three
+    # processes in ranges of 13, the last of one pool: four pools lines per
+    # cell, each naming the three processes.
+    monkeypatch.setattr(sim, "_workers", lambda: 3)
     monkeypatch.setattr(sim, "_MIN_COLUMNS", 8)
     cfg = ExperimentConfig(**dict(SMALL, delta_list=(0.02, 0.05)))
     codes = {d: sim._construct(cfg, d)[0] for d in cfg.delta_list}
@@ -478,8 +530,8 @@ def test_progress_lines_report_constructions_and_counts(capsys, monkeypatch):
         for row in rows:
             pools = [f for stage, f in lines
                      if stage == "pools" and float(f["delta"]) == row.delta]
-            assert [int(f["done"]) for f in pools] == [16, 32, 40]
-            assert [int(f["workers"]) for f in pools] == [2, 2, 1]
+            assert [int(f["done"]) for f in pools] == [13, 26, 39, 40]
+            assert [int(f["workers"]) for f in pools] == [3, 3, 3, 3]
             last = pools[-1]
             assert int(last["done"]) == int(last["pools"]) == row.pools_run == 40
             assert int(last["failures"]) == row.failure_count
