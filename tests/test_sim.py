@@ -302,13 +302,15 @@ def _ranges_of(size: int, rule=sim._ranges):
     return ranges
 
 
-def test_one_rule_sizes_every_decode_of_a_cell(monkeypatch):
-    rule = sim._ranges
+def _range_widths(*args):
+    processes, ranges = sim._ranges(*args)
+    return processes, [count for _, count in ranges]
 
-    def widths(*args):
-        processes, ranges = rule(*args)
-        return processes, [count for _, count in ranges]
 
+def test_pool_batch_size_counts_components():
+    # The one rule, sim._ranges, at one process: its ranges are the
+    # one-process decodes.
+    widths = _range_widths
     # one process: a decode is never wider than the pool count or 2^26
     # observation bytes, and a quaternary range takes half the pools so
     # both components fit
@@ -318,6 +320,12 @@ def test_one_rule_sizes_every_decode_of_a_cell(monkeypatch):
     assert widths(4096, 256, 100, 2, 1) == (1, [32, 32, 32, 4])
     assert widths(16, 256, 3, 2, 1) == (1, [1, 1, 1])
     assert widths(16, 256, 1, 2, 1) == (1, [1])
+
+
+def test_shares_are_contiguous_and_never_under_the_floor(monkeypatch):
+    # The same rule over several cores: its ranges are the decodes the
+    # processes share.
+    rule, widths = sim._ranges, _range_widths
     # two cores split the bench's cells into decodes of 128 columns each;
     # a cell under two floors' worth of columns does not split, so the
     # 64-column decodes at n=4096 stay in one process
