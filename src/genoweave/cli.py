@@ -34,7 +34,7 @@ def parse_delta(text: str) -> float:
         raise ValueError(f"cannot parse error rate {text!r}") from None
     if not 0.0 <= value < 1.0:
         raise ValueError(f"error rate must lie in [0, 1), got {text!r}")
-    return value
+    return value + 0.0  # maps -0.0 to 0.0, whose IEEE bits derive_seed would hash apart
 
 
 def _parse_list(text: str, parse) -> tuple:

@@ -13,6 +13,7 @@ ell = 256; that is the working convention throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,11 @@ def _cdf_table(ell: int, delta: float) -> np.ndarray:
 
 def binom_cdf(ell: int, delta: float, d: int) -> float:
     """P(Bin(ell, delta) <= d): probability of at most d deletions in ell symbols."""
+    for name, value in (("block length", ell), ("deletion count", d)):
+        try:  # a float would reach the table as an index, and numpy's IndexError
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if ell < 1:
         raise ValueError(f"block length must be positive, got {ell}")
     if not 0.0 <= delta <= 1.0:

@@ -11,11 +11,11 @@ ERROR_KINDS lists the four experiment kinds, and this module is the one
 place that knows them: substitution, deletion and insertion pools are one
 binary component each; a quaternary pool is a (real, imag) pair that
 loses the same indices to one deletion pattern.  Every kind runs through
-run_pool_experiment.  A range decodes in one call with each pool's
-components side by side, as replay_pool decodes one pool: its
+run_pool_experiment.  One function draws a range of pools and decodes
+it in one call, each pool's components side by side; replay_pool is
+that function run on one pool, so it decodes the cell's own layout.  The
 observations are held unpacked and position-major (the order the decoder
-reads, so they reach it without a copy), the info bits to check against
-as packed bits.
+reads, so they reach it without a copy), the info bits as packed bits.
 
 One rule sizes the ranges of a cell, once per call: the processes that
 decode it hold no more columns at once than there are pools, nor than
@@ -64,9 +64,10 @@ __all__ = [
 
 STRAND_LENGTH = 256
 
-# each kind's decoder mode and its binary components per pool
-_KINDS = {"deletion": ("push", 1), "insertion": ("pull", 1), "substitution": ("fixed", 1),
-          "quaternary": ("push", 2)}
+# each kind's decoder mode, its binary components per pool and the width
+# of a strand's observations: an inserting channel can double a strand
+_KINDS = {"deletion": ("push", 1, STRAND_LENGTH), "insertion": ("pull", 1, 2 * STRAND_LENGTH),
+          "substitution": ("fixed", 1, STRAND_LENGTH), "quaternary": ("push", 2, STRAND_LENGTH)}
 ERROR_KINDS = tuple(_KINDS)
 
 
@@ -96,7 +97,8 @@ class ExperimentConfig:
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
         _check_kind(self.error_kind)
-        deltas = tuple(float(d) for d in self.delta_list)
+        # + 0.0 maps -0.0 to 0.0, whose IEEE bits derive_seed would hash apart
+        deltas = tuple(float(d) + 0.0 for d in self.delta_list)
         if not deltas:
             raise ValueError("need at least one error rate")
         for d in deltas:
@@ -172,38 +174,38 @@ def run_construction_sweep(config: ExperimentConfig) -> list[tuple[PolarCode, in
     return [_construct(config, delta) for delta in config.delta_list]
 
 
-def _generate_pool(rng: np.random.Generator, code: PolarCode, kind: str, delta: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one pool of the given kind from its stream: the info bits, then the channel.
+def _decode_range(code: PolarCode, kind: str, delta: float, cell_seed: int,
+                  start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw pools start .. start + count - 1 from their streams and decode them at once.
 
-    Returns (truth, obs) with a leading component axis: one component for
-    the binary kinds, the (real, imag) pair for quaternary, whose parts
-    share one kept-set per strand.
+    A pool draws its info bits, then its channel.  Returns (truth, decoded)
+    with component c of pool start + b in row b * parts + c: the info bits
+    packed along k, and the decoder's unpacked info bits.
     """
-    info = rng.integers(0, 2, size=(_KINDS[kind][1], STRAND_LENGTH, code.k), dtype=np.uint8)
-    strands = [weave_encode(part, code).strands for part in info]
-    if len(strands) == 2:
-        parts = delete_pool_coincident(*strands, delta, rng)
-    else:
-        parts = [apply_channel_pool(strands[0], ChannelSpec(kind=kind, delta=delta), rng)]
-    return info, np.stack([obs for obs, _ in parts])
+    mode, parts, width = _KINDS[kind]
+    obs = np.empty((width, count * parts, code.n), dtype=np.uint8)  # position-major
+    truth = np.empty((count * parts, STRAND_LENGTH, (code.k + 7) // 8), dtype=np.uint8)
+    for b in range(start, start + count):
+        rng = np.random.default_rng([cell_seed, b])
+        info = rng.integers(0, 2, size=(parts, STRAND_LENGTH, code.k), dtype=np.uint8)
+        column = (b - start) * parts
+        truth[column:column + parts] = np.packbits(info, axis=-1)
+        strands = [weave_encode(part, code).strands for part in info]
+        if parts == 2:  # a quaternary pair shares one kept-set per strand
+            pool = delete_pool_coincident(*strands, delta, rng)
+        else:
+            pool = [apply_channel_pool(strands[0], ChannelSpec(kind=kind, delta=delta), rng)]
+        for c, (component, _) in enumerate(pool):
+            obs[:, column + c] = component.T
+    return truth, decode_pool_batch(obs.transpose(1, 2, 0), code, mode, STRAND_LENGTH).info_bits
 
 
 def _batch_failures(code: PolarCode, kind: str, delta: float, cell_seed: int,
-                    width: int, start: int, count: int) -> list[int]:
-    # Pools start .. start + count - 1 decode as one batch, column
-    # b * parts + c holding component c of pool b; a pool fails when any
-    # decoded info bit of any component differs from the truth.
-    mode, parts = _KINDS[kind]
-    obs = np.empty((width, count * parts, code.n), dtype=np.uint8)  # position-major
-    truth = np.empty((count * parts, STRAND_LENGTH, (code.k + 7) // 8), dtype=np.uint8)
-    for b in range(count):
-        rng = np.random.default_rng([cell_seed, start + b])
-        info, pool_obs = _generate_pool(rng, code, kind, delta)
-        truth[b * parts:(b + 1) * parts] = np.packbits(info, axis=-1)
-        obs[:, b * parts:(b + 1) * parts] = pool_obs.transpose(2, 0, 1)
-    info = decode_pool_batch(obs.transpose(1, 2, 0), code, mode, STRAND_LENGTH).info_bits
-    bad = (np.packbits(info, axis=-1) != truth).any(axis=(1, 2)).reshape(count, parts)
+                    start: int, count: int) -> list[int]:
+    # the failed pools of a range: a pool fails when any decoded info bit
+    # of any component differs from the truth
+    truth, decoded = _decode_range(code, kind, delta, cell_seed, start, count)
+    bad = (np.packbits(decoded, axis=-1) != truth).any(axis=(1, 2)).reshape(count, -1)
     return [start + int(b) for b in np.flatnonzero(bad.any(axis=1))]
 
 
@@ -245,8 +247,7 @@ def _fork_executor(workers: int):
 
 def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                kind: str) -> list[ExperimentResult]:
-    mode, parts = _KINDS[kind]
-    width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
+    _, parts, width = _KINDS[kind]
     processes, ranges = _ranges(config.n, width, config.pools, parts, _workers())
     executor = _fork_executor(processes) if processes > 1 else None
     if executor is None:  # one process, or no fork here: decode in this one
@@ -259,7 +260,7 @@ def _run_cells(config: ExperimentConfig, codes: dict[float, PolarCode] | None,
                 raise ValueError(f"code for delta {delta} has n={code.n}, "
                                  f"the config n={config.n}")
             cell_seed = derive_seed(config.master_seed, "pools", kind, config.n, delta)
-            decode = partial(_batch_failures, code, kind, delta, cell_seed, width)
+            decode = partial(_batch_failures, code, kind, delta, cell_seed)
             t0 = time.perf_counter()
             failed: list[int] = []
             # either map yields in range order, so failed stays ascending
@@ -307,17 +308,15 @@ def run_quaternary_pool_experiment(config: ExperimentConfig,
 
 def replay_pool(code: PolarCode, error_kind: str, delta: float, cell_seed: int,
                 pool_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Regenerate one pool by its stream and decode it again.
+    """Regenerate one pool by its stream and decode it as its cell did, a range of one.
 
     error_kind is a result row's, so "quaternary" replays both components.
     Returns (true_info, decoded_info), each with a leading component axis,
     so callers can re-verify a recorded failure against ground truth.
     """
     _check_kind(error_kind)
-    rng = np.random.default_rng([cell_seed, pool_index])
-    truth, obs = _generate_pool(rng, code, error_kind, delta)
-    res = decode_pool_batch(obs, code, _KINDS[error_kind][0], STRAND_LENGTH)
-    return truth, res.info_bits
+    truth, decoded = _decode_range(code, error_kind, delta, cell_seed, pool_index, 1)
+    return np.unpackbits(truth, axis=-1, count=code.k), decoded
 
 
 def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:

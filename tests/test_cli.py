@@ -1,5 +1,7 @@
 """Command-line contract: flags, exit codes, CSV shapes, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ def test_parse_delta_decimal_and_percent():
     assert parse_delta("0.5%") == 0.005
     assert parse_delta(" 10% ") == 0.1
     assert parse_delta("0") == 0.0
+    # -0 is the rate 0 with a positive sign, so it derives the seeds of 0
+    for zero in ("-0", "-0.0", "-0%"):
+        assert math.copysign(1.0, parse_delta(zero)) == 1.0
 
 
 def test_parse_delta_rejects_junk():
@@ -66,6 +71,16 @@ def test_construct_percent_and_decimal_agree(tmp_path, capsys):
     _run(capsys, "construct", "--n", "16", "--delta", "0.01",
          "--samples", "50", "--out", str(b))
     assert a.read_text() == b.read_text()
+
+
+def test_negative_zero_rate_writes_the_rate_zero(capsys):
+    # construct and simulate output for --delta=-0 is that for --delta 0,
+    # seeds and the written rate included
+    for command, extra in (("construct", ()), ("simulate", ("--pools", "2"))):
+        outs = [_run(capsys, command, "--n", "16", f"--delta={zero}", "--samples", "50",
+                     *extra) for zero in ("0", "-0", "-0%")]
+        assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+        assert "-0.0" not in outs[0][1]
 
 
 def test_construct_stdout_matches_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Concatenation-baseline rates: entropy, binomial tail, redundancy, envelope."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,14 @@ def test_binom_cdf_rejects_bad_domain():
         binom_cdf(10, 0.1, 11)
     with pytest.raises(ValueError):
         binom_cdf(10, 0.1, -1)
+    # a non-integer would index the table and fail there with an IndexError
+    for ell, d, message in ((10, 2.5, "deletion count must be an integer, got 2.5"),
+                            (10.5, 2, "block length must be an integer, got 10.5"),
+                            (10.0, 2, "block length must be an integer, got 10.0"),
+                            (10, np.float64(2.0), "deletion count must be an integer, got ")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            binom_cdf(ell, 0.1, d)
+    assert binom_cdf(np.int64(10), 0.1, np.int32(2)) == binom_cdf(10, 0.1, 2)
 
 
 # ---------------------------------------------------------------------------

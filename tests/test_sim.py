@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from genoweave import sim
-from genoweave.channels import ERASURE
+from genoweave.channels import ERASURE, delete_pool_coincident
 from genoweave.polar import PolarCode, design_polar_code, make_polar_code
 from genoweave.rates import capacity
 from genoweave.sim import (
@@ -27,6 +27,7 @@ from genoweave.sim import (
     run_pool_experiment,
     run_quaternary_pool_experiment,
 )
+from genoweave.weave import weave_encode
 
 SMALL = dict(n=64, delta_list=(0.02,), error_kind="deletion", pools=40,
              construction_samples=200, master_seed=1)
@@ -187,6 +188,24 @@ def test_replay_reproduces_recorded_failures():
         replay_pool(code, "bogus", row.delta, row.cell_seed, good)
 
 
+@pytest.mark.parametrize("kind", sim.ERROR_KINDS)
+def test_every_pool_replays_to_its_recorded_status(kind):
+    # the cell decodes its 40 pools as one range; each replays alone, and
+    # exactly the recorded pools mismatch their truth
+    cfg = ExperimentConfig(**dict(SMALL, delta_list=(0.05,), error_kind=kind))
+    (row,) = run_pool_experiment(cfg)
+    assert 0 < row.failure_count < cfg.pools, f"{kind} should fail some pools"
+    code, _ = sim._construct(cfg, row.delta)
+    parts = 2 if kind == "quaternary" else 1
+    replayed = []
+    for i in range(cfg.pools):
+        truth, decoded = replay_pool(code, row.error_kind, row.delta, row.cell_seed, i)
+        assert truth.shape == decoded.shape == (parts, STRAND_LENGTH, code.k)
+        if (truth != decoded).any():
+            replayed.append(i)
+    assert tuple(replayed) == row.failed_pools
+
+
 def test_pool_experiment_accepts_prebuilt_codes():
     code = make_polar_code(32, 0.0, np.zeros(32), threshold=0.5)
     rows = run_pool_experiment(
@@ -231,6 +250,15 @@ def test_replay_reproduces_quaternary_failures():
     assert (truth == decoded).all()
 
 
+def _quaternary_observations(code, delta, cell_seed, index):
+    # pool index of a quaternary cell, drawn from its own stream without
+    # sim: both components' info bits, then one deletion pattern for both
+    rng = np.random.default_rng([cell_seed, index])
+    info = rng.integers(0, 2, size=(2, STRAND_LENGTH, code.k), dtype=np.uint8)
+    real, imag = (weave_encode(part, code).strands for part in info)
+    return np.stack([obs for obs, _ in delete_pool_coincident(real, imag, delta, rng)])
+
+
 def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
     # failed-pool lists hardly depend on reads of erasure padding, so a
     # component read from the wrong column would hardly show there: check
@@ -254,8 +282,7 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
         code = _loose_code(cfg, 0.05, 200.0)
         calls.clear()
         (row,) = run_quaternary_pool_experiment(cfg, codes={0.05: code})
-        want = np.stack([sim._generate_pool(np.random.default_rng([row.cell_seed, i]),
-                                            code, "quaternary", 0.05)[1]
+        want = np.stack([_quaternary_observations(code, 0.05, row.cell_seed, i)
                          for i in range(cfg.pools)])
         assert (want == ERASURE).any() and (want[:, 1] != want[:, 0]).any()
         assert len(calls) == 3  # one decode per range, both components in it
@@ -392,8 +419,8 @@ def test_failed_pools_independent_of_worker_count(monkeypatch, capsys, n):
                 assert rows == base, (kind, workers, size)
                 lines = [f for stage, f in _progress_lines(capsys.readouterr().err)
                          if stage == "pools"]
-                mode, parts = sim._KINDS[kind]
-                width = 2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH
+                mode, parts, width = sim._KINDS[kind]
+                assert width == (2 * STRAND_LENGTH if mode == "pull" else STRAND_LENGTH)
                 processes, ranges = sim._ranges(n, width, cfg.pools, parts, workers)
                 assert [(int(f["done"]), int(f["workers"])) for f in lines] == \
                     [(start + count, processes) for start, count in ranges]
@@ -408,14 +435,14 @@ def test_worker_value_error_surfaces_unchanged(monkeypatch):
     # the error is raised only in worker processes, and reaches the caller
     # with its type and message; no worker outlives the call
     parent = os.getpid()
-    generate = sim._generate_pool
+    encode = sim.weave_encode
 
     def refusing(*args):
         if os.getpid() != parent:
             raise ValueError("pool refused in a worker")
-        return generate(*args)
+        return encode(*args)
 
-    monkeypatch.setattr(sim, "_generate_pool", refusing)
+    monkeypatch.setattr(sim, "weave_encode", refusing)
     monkeypatch.setattr(sim, "_MIN_COLUMNS", 1)
     monkeypatch.setattr(sim, "_workers", lambda: 2)
     with pytest.raises(ValueError) as raised:
@@ -471,6 +498,11 @@ def test_config_validation():
         assert ExperimentConfig(n=64, delta_list=(0.01,), error_kind=kind).error_kind == kind
     with pytest.raises(ValueError):
         ExperimentConfig(n=64, delta_list=(0.01,), pools=0)
+    # -0.0 is the rate 0.0, with its seeds: derive_seed hashes the IEEE bits
+    cfg = ExperimentConfig(n=64, delta_list=(-0.0, np.float64(-0.0), 0.01))
+    assert [math.copysign(1.0, d) for d in cfg.delta_list] == [1.0, 1.0, 1.0]
+    assert derive_seed(0, "pools", "deletion", 64, cfg.delta_list[0]) == \
+        derive_seed(0, "pools", "deletion", 64, 0.0)
     # numpy's own message would not say which seed it refused
     with pytest.raises(ValueError, match="master seed must be nonnegative, got -1"):
         ExperimentConfig(n=64, delta_list=(0.01,), master_seed=-1)
