@@ -17,12 +17,13 @@ that function run on one pool, so it decodes the cell's own layout.  The
 observations are held unpacked and position-major (the order the decoder
 reads, so they reach it without a copy), the info bits as packed bits.
 
-One rule sizes the ranges of a cell, once per call: the processes that
-decode it hold no more columns at once than there are pools, nor than
-about 64 MB of observations, and there is at most one per core the
-caller may run on, each taking at least 128 columns.  With more than
-one, the ranges go in order to one executor of forked worker processes
-per call, and their failed pools come back in range order.  Pools draw
+One rule sizes the ranges of a cell, once per call, in decoded columns,
+a quaternary pool's two components counting as two: the processes that
+decode it hold no more columns at once than the cell has, nor than about
+64 MB of observations, and there is at most one per core the caller may
+run on, each taking at least 128 columns.  With more than one, the
+ranges go in order to one executor of forked worker processes per call,
+and their failed pools come back in range order.  Pools draw
 from their own streams, so failed-pool lists are independent of the
 worker count, as they are of the range width.  A cell too narrow to
 split, a process limited to one core, or a platform without fork decodes
@@ -218,11 +219,11 @@ _MIN_COLUMNS = 128
 def _ranges(n: int, width: int, pools: int, parts: int,
             workers: int) -> tuple[int, list[tuple[int, int]]]:
     # The processes that decode a cell, and the (first pool, pools) of each
-    # decode: contiguous ranges in pool order.  The processes together hold
-    # no more columns at once than there are pools, nor than about 64 MB of
-    # unpacked observations, parts per pool; at most workers of them, each
-    # taking at least _MIN_COLUMNS.
-    columns = min(pools, (1 << 26) // (n * width))
+    # decode: contiguous ranges in pool order.  A pool decodes as parts
+    # columns; the processes together hold no more columns at once than the
+    # cell's pools * parts, nor than about 64 MB of unpacked observations;
+    # at most workers of them, each taking at least _MIN_COLUMNS.
+    columns = min(pools * parts, (1 << 26) // (n * width))
     processes = max(1, min(workers, columns // _MIN_COLUMNS))
     per = max(1, columns // processes // parts)
     return processes, [(a, min(per, pools - a)) for a in range(0, pools, per)]

@@ -290,23 +290,27 @@ def test_quaternary_decoder_reads_each_components_observations(monkeypatch):
         assert (got == want.reshape(2 * cfg.pools, n, -1)).all()
 
 
-def test_quaternary_cell_holds_one_unpacked_component(monkeypatch):
-    # A range decodes half the pools, both components side by side, so it
-    # holds one component's worth of observations unpacked (256 x pools x n
-    # bytes); both components' truth bits packed along k; and the decoded
-    # info bits (pools x 256 x k bytes).  The bound allows one more unpacked
-    # component for what works beside them: the pool being generated, the
-    # decoder's per-position buffers and the SC plan, about half a component
-    # here.  Holding both components and the truth unpacked would need
-    # 2 x 256 x pools x (n + k) + pools x 256 x k bytes of arrays alone,
-    # which is above the bound.
+def test_quaternary_range_holds_its_columns_unpacked_and_its_truth_packed(monkeypatch):
+    # At one process the rule decodes these 64 pools as one range of 128
+    # columns, both components of each pool side by side.  A range holds
+    # its columns' observations unpacked (256 x columns x n bytes), their
+    # truth bits packed along k and the decoded info bits (columns x 256 x
+    # k bytes).  The slack is what else grows with the range's columns:
+    # the decoder's five per-position (n, columns) arrays of 8-byte words
+    # (base, at, idx, shift, lam), the SC plan's four (its levels take
+    # about two, with its scratch and partial sums), and as many again for
+    # SC's temporaries and the pool being generated.  Holding the truth
+    # unpacked would add 7/8 of the decoded info bytes (0.95 MB here) to a
+    # peak that uses most of the slack (4.30 MB against a bound of 4.55).
     n, pools = 64, 64
     cfg = ExperimentConfig(n=n, delta_list=(0.01,), error_kind="deletion", pools=pools,
                            construction_samples=200, master_seed=1)
     code = sim._construct(cfg, 0.01)[0]
-    component = STRAND_LENGTH * pools * n
-    held = (component + 2 * pools * STRAND_LENGTH * ((code.k + 7) // 8)
-            + pools * STRAND_LENGTH * code.k)
+    processes, ranges = sim._ranges(n, STRAND_LENGTH, pools, 2, 1)
+    columns = 2 * max(count for _, count in ranges)
+    assert (processes, columns) == (1, 2 * pools)
+    held = columns * STRAND_LENGTH * (n + (code.k + 7) // 8 + code.k)
+    slack = 18 * 8 * n * columns
     # tracemalloc sees this process only, so every range decodes in it
     monkeypatch.setattr(sim, "_workers", lambda: 1)
     tracemalloc.start()
@@ -316,7 +320,37 @@ def test_quaternary_cell_holds_one_unpacked_component(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < held + component, (peak, held, component)
+    assert peak < held + slack, (peak, held, slack)
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_quaternary_decodes_two_columns_per_pool_of_a_range(monkeypatch, capsys, n):
+    # The rule counts a quaternary pool as two decoded columns: at one
+    # process a cell of 128 pools is one range, decoded 256 columns wide,
+    # and at two it splits into two ranges of 64 pools, one per process.
+    cfg = ExperimentConfig(n=n, delta_list=(0.02,), error_kind="quaternary", pools=128,
+                           construction_samples=100, master_seed=2)
+    codes = {0.02: _loose_code(cfg, 0.02, 1.0)}
+    widths = []
+    decode = sim.decode_pool_batch
+
+    def recording(obs, *args):
+        widths.append(obs.shape[0])
+        return decode(obs, *args)
+
+    monkeypatch.setattr(sim, "decode_pool_batch", recording)
+    # a decode in a worker process would not reach the spy
+    monkeypatch.setattr(sim, "_workers", lambda: 1)
+    one = run_pool_experiment(cfg, codes)
+    _, ranges = sim._ranges(n, STRAND_LENGTH, cfg.pools, 2, 1)
+    assert widths == [2 * count for _, count in ranges] == [256]
+    assert 0 < one[0].failure_count < cfg.pools
+
+    monkeypatch.setattr(sim, "_workers", lambda: 2)
+    capsys.readouterr()
+    assert run_pool_experiment(cfg, codes) == one
+    lines = [f for stage, f in _progress_lines(capsys.readouterr().err) if stage == "pools"]
+    assert [(f["done"], f["workers"]) for f in lines] == [("64", "2"), ("128", "2")]
 
 
 def _ranges_of(size: int, rule=sim._ranges):
@@ -338,14 +372,14 @@ def test_pool_batch_size_counts_components():
     # The one rule, sim._ranges, at one process: its ranges are the
     # one-process decodes.
     widths = _range_widths
-    # one process: a decode is never wider than the pool count or 2^26
-    # observation bytes, and a quaternary range takes half the pools so
-    # both components fit
+    # one process: a decode is never wider than the cell's columns, a
+    # quaternary pool's two components counting as two, or 2^26
+    # observation bytes, which a quaternary range fills with half the pools
     assert widths(256, 256, 256, 1, 1) == widths(256, 512, 256, 1, 1) == (1, [256])
-    assert widths(256, 256, 256, 2, 1) == (1, [128, 128])
+    assert widths(256, 256, 256, 2, 1) == (1, [256])
     assert widths(4096, 256, 100, 1, 1) == (1, [64, 36])
     assert widths(4096, 256, 100, 2, 1) == (1, [32, 32, 32, 4])
-    assert widths(16, 256, 3, 2, 1) == (1, [1, 1, 1])
+    assert widths(16, 256, 3, 2, 1) == (1, [3])
     assert widths(16, 256, 1, 2, 1) == (1, [1])
 
 
@@ -353,11 +387,15 @@ def test_shares_are_contiguous_and_never_under_the_floor(monkeypatch):
     # The same rule over several cores: its ranges are the decodes the
     # processes share.
     rule, widths = sim._ranges, _range_widths
-    # two cores split the bench's cells into decodes of 128 columns each;
-    # a cell under two floors' worth of columns does not split, so the
-    # 64-column decodes at n=4096 stay in one process
+    # two cores split the bench's binary cells into decodes of 128 columns
+    # and its quaternary cell into decodes of 256, 128 pools of two
+    # components; a cell under two floors' worth of columns does not
+    # split, so the 64-column decodes at n=4096 stay in one process, as
+    # do 100 quaternary pools, but 128 split
     assert widths(256, 256, 256, 1, 2) == widths(256, 512, 256, 1, 2) == (2, [128, 128])
-    assert widths(256, 256, 256, 2, 2) == (2, [64, 64, 64, 64])
+    assert widths(256, 256, 256, 2, 2) == (2, [128, 128])
+    assert widths(256, 256, 128, 2, 2) == (2, [64, 64])
+    assert widths(256, 256, 100, 2, 2) == (1, [100])
     assert widths(256, 256, 255, 1, 8) == (1, [255])
     assert widths(4096, 256, 100, 1, 2) == (1, [64, 36])
     assert widths(256, 256, 1000, 1, 3) == (3, [333, 333, 333, 1])
@@ -369,7 +407,7 @@ def test_shares_are_contiguous_and_never_under_the_floor(monkeypatch):
                     for pools in (*range(1, 20), 127, 128, 129, 255, 256, 257, 1000):
                         processes, ranges = rule(n, width, pools, parts, workers)
                         starts, counts = zip(*ranges)
-                        columns = min(pools, (1 << 26) // (n * width))
+                        columns = min(pools * parts, (1 << 26) // (n * width))
                         widest = max(counts)
                         assert 1 <= processes <= workers
                         assert processes == 1 or processes * floor <= columns
