@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates as rates_mod
 from . import sim
-from .polar import format_equivocations_csv, make_polar_code, read_equivocations_csv
+from .polar import format_equivocations_csv, make_polar_code, read_equivocations_with_meta
 from .rates import RateFamily, capacity, concat_envelope, concat_rates
 from .sim import ExperimentConfig
 
@@ -123,9 +123,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         construction_samples=args.samples, master_seed=args.seed)
     codes = None
     if args.code is not None:
-        eq = read_equivocations_csv(args.code)
+        eq, meta = read_equivocations_with_meta(args.code)
         if eq.size != args.n:
             raise ValueError(f"--code file holds {eq.size} channels but --n is {args.n}")
+        # its info set was chosen for its own crossover, and would run under this one's LLRs
+        if "delta" in meta and parse_delta(meta["delta"]) != delta:
+            raise ValueError(f"--code file was designed for delta={meta['delta']} "
+                             f"but --delta is {args.delta}")
         codes = {delta: make_polar_code(args.n, delta, eq)}
     # quaternary keeps its own entry point, so a profile tells the kinds apart
     run = (sim.run_quaternary_pool_experiment if args.errors == "quaternary"

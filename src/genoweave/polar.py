@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ __all__ = [
     "design_polar_code",
     "format_equivocations_csv",
     "read_equivocations_csv",
+    "read_equivocations_with_meta",
 ]
 
 _LN2 = math.log(2.0)
@@ -42,6 +44,24 @@ _LN2 = math.log(2.0)
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    # value as an int, numpy's included, and not below least
+    try:  # a float or Fraction would fail later, unnamed, as an index or in range()
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _check_design(n: int, delta: float) -> None:
+    if not _is_pow2(_integer("block length", n)):
+        raise ValueError(f"block length must be a power of two, got {n}")
+    if not 0.0 <= delta <= 0.5:
+        raise ValueError(f"design crossover must lie in [0, 1/2], got {delta}")
 
 
 def _is_binary(a: np.ndarray) -> bool:
@@ -111,10 +131,7 @@ class PolarCode:
     frozen_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _is_pow2(self.n):
-            raise ValueError(f"block length must be a power of two, got {self.n}")
-        if not 0.0 <= self.design_delta <= 0.5:
-            raise ValueError(f"design crossover must lie in [0, 1/2], got {self.design_delta}")
+        _check_design(self.n, self.design_delta)
         eq = np.asarray(self.equivocations, dtype=np.float64).copy()
         if eq.shape != (self.n,):
             raise ValueError("equivocations must have one entry per bit channel")
@@ -273,17 +290,15 @@ class _SCPlan:
         if right:
             self.steps += _gfun(a, b, x[j0:jm] if left else None, out, sd)
             self._visit(l + 1, jm)
-            if left:
-                self.steps.append((np.bitwise_xor, (x[j0:jm], x[jm:j1], x[j0:jm])))
-            else:
-                self.steps.append((np.copyto, (x[j0:jm], x[jm:j1])))
+            # under a rate-0 left subtree x[j0:jm] is still 0, so this copies
+            self.steps.append((np.bitwise_xor, (x[j0:jm], x[jm:j1], x[j0:jm])))
 
     def run(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Adding +0.0 maps -0.0 to +0.0, which decides 0 as np.less(llr, 0)
         # does.  f and g make no -0.0 from other inputs, so from here on a
         # sign bit is a decision.
         np.add(llrs.T, 0.0, out=self.lev[0])
-        # a parent's XOR writes x slots of rate-0 subtrees, which no step resets
+        # a rate-0 subtree's x must read 0 at its parent's combine; the last run set it
         self.x.fill(0)
         _run(self.steps)
         # fresh arrays, transposed to (B, n): the workspace is reused by the
@@ -513,12 +528,8 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000,
     sample in index order on the calling thread, so the result is
     bit-identical whatever the block size or worker count.
     """
-    if not _is_pow2(n):
-        raise ValueError(f"block length must be a power of two, got {n}")
-    if not 0.0 <= delta <= 0.5:
-        raise ValueError(f"design crossover must lie in [0, 1/2], got {delta}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    _check_design(n, delta)
+    samples = _integer("samples", samples, 1)
     if delta == 0.0:
         return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
 
@@ -556,12 +567,21 @@ def format_equivocations_csv(equivocations, meta: dict) -> str:
 
 def read_equivocations_csv(path: str) -> np.ndarray:
     """Read back an equivocation vector written from format_equivocations_csv."""
+    return read_equivocations_with_meta(path)[0]
+
+
+def read_equivocations_with_meta(path: str) -> tuple[np.ndarray, dict[str, str]]:
+    """Read back an equivocation vector and its '# key=value' provenance lines."""
     with open(path) as fh:
         text = fh.read()
+    meta: dict[str, str] = {}
     values: list[float] = []
     for row, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#") or line.startswith("index"):
+        if line.startswith("#") and "=" in line:
+            key, value = line[1:].split("=", 1)
+            meta[key.strip()] = value.strip()
+        if not line or line.startswith(("#", "index")):
             continue
         try:
             idx, val = line.split(",")
@@ -574,4 +594,4 @@ def read_equivocations_csv(path: str) -> np.ndarray:
         values.append(val)
     if not values:
         raise ValueError(f"{path}: no equivocation rows found")
-    return np.asarray(values, dtype=np.float64)
+    return np.asarray(values, dtype=np.float64), meta

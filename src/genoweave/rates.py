@@ -13,10 +13,11 @@ ell = 256; that is the working convention throughout.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .polar import _integer
 
 __all__ = [
     "RateFamily",
@@ -30,6 +31,16 @@ __all__ = [
 ]
 
 FAMILIES = ("explicit", "implicit", "putative")
+
+
+def _check_alphabet(q: int) -> None:
+    if q not in (2, 4):
+        raise ValueError(f"alphabet size must be 2 or 4, got {q}")
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN too
+        raise ValueError(f"probability out of range: {p}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,7 @@ class RateFamily:
     family: str
 
     def __post_init__(self) -> None:
-        if self.q not in (2, 4):
-            raise ValueError(f"alphabet size must be 2 or 4, got {self.q}")
+        _check_alphabet(self.q)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
 
@@ -60,10 +70,8 @@ def entropy(q: int, p: float) -> float:
     quaternary symmetric channel with total error probability p.  The
     p = 0 limit is 0 in both cases.
     """
-    if q not in (2, 4):
-        raise ValueError(f"alphabet size must be 2 or 4, got {q}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
+    _check_alphabet(q)
+    _check_probability(p)
     if q == 2:
         if p in (0.0, 1.0):
             return 0.0
@@ -107,15 +115,8 @@ def _cdf_table(ell: int, delta: float) -> np.ndarray:
 
 def binom_cdf(ell: int, delta: float, d: int) -> float:
     """P(Bin(ell, delta) <= d): probability of at most d deletions in ell symbols."""
-    for name, value in (("block length", ell), ("deletion count", d)):
-        try:  # a float would reach the table as an index, and numpy's IndexError
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if ell < 1:
-        raise ValueError(f"block length must be positive, got {ell}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"probability out of range: {delta}")
+    ell, d = _integer("block length", ell, 1), _integer("deletion count", d)
+    _check_probability(delta)
     if not 0 <= d <= ell:
         raise ValueError(f"deletion count {d} out of range for block length {ell}")
     return float(_cdf_table(ell, delta)[d])
@@ -131,11 +132,7 @@ def redundancy(fam: RateFamily, d: int, ell: int = 256) -> float:
     implicit:       log_q(ell) at d=1, 2d log_q(ell) at d >= 2.
     putative:       d log_q(ell), the conjectured lower bound.
     """
-    if d < 0 or d != int(d):
-        raise ValueError(f"deletion count must be a nonnegative integer, got {d}")
-    if ell < 2:
-        raise ValueError(f"block length must be at least 2, got {ell}")
-    d = int(d)
+    d, ell = _integer("deletion count", d, 0), _integer("block length", ell, 2)
     if d == 0:
         return 0.0
     l2 = math.log2(ell)
@@ -160,10 +157,8 @@ def concat_rates(fam: RateFamily, delta: float, ell: int = 256) -> np.ndarray:
     the block survives only when the strand sees at most d deletions, so
     entry d is the throughput max(0, 1 - r/ell) * P(Bin(ell, delta) <= d).
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"probability out of range: {delta}")
-    if ell < 2:
-        raise ValueError(f"block length must be at least 2, got {ell}")
+    _check_probability(delta)
+    ell = _integer("block length", ell, 2)
     r = np.array([redundancy(fam, d, ell) for d in range(ell + 1)])
     return np.maximum(0.0, 1.0 - r / ell) * _cdf_table(ell, delta)
 

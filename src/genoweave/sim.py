@@ -8,9 +8,12 @@ purely for vector width, so failure counts are bit-identical whatever the
 range width.
 
 ERROR_KINDS lists the four experiment kinds, and this module is the one
-place that knows them: substitution, deletion and insertion pools are one
-binary component each; a quaternary pool is a (real, imag) pair that
-loses the same indices to one deletion pattern.  Every kind runs through
+place that knows all four: substitution, deletion and insertion pools are
+one binary component each; a quaternary pool is a (real, imag) pair that
+loses the same indices to one deletion pattern.  channels.ChannelSpec and
+channels._CHANNELS still validate and dispatch the three binary kinds by
+name, for the binary pools here and for the bench's warm_up and
+_regenerate, which call them directly.  Every kind runs through
 run_pool_experiment.  One function draws a range of pools and decodes
 it in one call, each pool's components side by side; replay_pool is
 that function run on one pool, so it decodes the cell's own layout.  The
@@ -49,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from .channels import ChannelSpec, apply_channel_pool, delete_pool_coincident
-from .polar import PolarCode, _workers, design_polar_code
+from .polar import PolarCode, _integer, _is_pow2, _workers, design_polar_code
 from .weave import decode_pool_batch, weave_encode
 
 __all__ = [
@@ -89,13 +92,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "pools", "construction_samples", "master_seed"):
-            value = getattr(self, name)
-            try:  # 2.5 pools would only fail later, in range()
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.n < 1 or self.n & (self.n - 1):
+        for name, least in (("n", None), ("pools", 1), ("construction_samples", 1),
+                            ("master_seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if not _is_pow2(self.n):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
         _check_kind(self.error_kind)
         # + 0.0 maps -0.0 to 0.0, whose IEEE bits derive_seed would hash apart
@@ -105,10 +105,6 @@ class ExperimentConfig:
         for d in deltas:
             if not 0.0 <= d < 0.5:
                 raise ValueError(f"error rate must lie in [0, 1/2), got {d}")
-        if self.pools < 1:
-            raise ValueError(f"pool count must be positive, got {self.pools}")
-        if self.construction_samples < 1:
-            raise ValueError("construction needs at least one sample")
         if self.master_seed < 0:  # every seed derives from it, and numpy takes none below 0
             raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "delta_list", deltas)
@@ -316,6 +312,7 @@ def replay_pool(code: PolarCode, error_kind: str, delta: float, cell_seed: int,
     so callers can re-verify a recorded failure against ground truth.
     """
     _check_kind(error_kind)
+    pool_index = _integer("pool_index", pool_index, 0)  # numpy takes no stream key below 0
     truth, decoded = _decode_range(code, error_kind, delta, cell_seed, pool_index, 1)
     return np.unpackbits(truth, axis=-1, count=code.k), decoded
 

@@ -7,7 +7,7 @@ import pytest
 
 from genoweave import sim
 from genoweave.cli import main, parse_delta
-from genoweave.polar import equivocation_stats, read_equivocations_csv
+from genoweave.polar import equivocation_stats, read_equivocations_csv, read_equivocations_with_meta
 
 
 def _run(capsys, *argv):
@@ -57,10 +57,9 @@ def test_construct_records_the_seed_it_drew_from(tmp_path, capsys):
     out = tmp_path / "eq.csv"
     _run(capsys, "construct", "--n", "32", "--delta", "5%",
          "--samples", "100", "--seed", "3", "--out", str(out))
-    meta = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
-                if line.startswith("# "))
+    eq, meta = read_equivocations_with_meta(str(out))
     stats = equivocation_stats(32, 0.05, samples=100, seed=int(meta["construction_seed"]))
-    assert stats.equivocations.tobytes() == read_equivocations_csv(str(out)).tobytes()
+    assert stats.equivocations.tobytes() == eq.tobytes()
 
 
 def test_construct_percent_and_decimal_agree(tmp_path, capsys):
@@ -170,6 +169,26 @@ def test_simulate_code_file_must_match_n(tmp_path, capsys):
     code, _ = _run(capsys, "simulate", "--n", "32", "--delta", "1%",
                    "--pools", "2", "--code", str(eq))
     assert code == 2
+
+
+def test_simulate_code_file_must_match_delta(tmp_path, capsys):
+    # an info set chosen for 10% would otherwise run silently under 1% LLRs
+    eq = tmp_path / "eq.csv"
+    _run(capsys, "construct", "--n", "16", "--delta", "10%",
+         "--samples", "50", "--out", str(eq))
+    args = ("simulate", "--n", "16", "--pools", "2", "--samples", "50", "--code", str(eq))
+    assert main([*args, "--delta", "1%"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--code file was designed for delta=0.1 but --delta is 1%" in err
+    # 10% and 0.1 are the file's own crossover
+    for delta in ("10%", "0.1"):
+        code, out = _run(capsys, *args, "--delta", delta)
+        assert code == 0 and ",0.1,deletion," in out
+    # a file without the provenance line runs under any --delta
+    eq.write_text("".join(line for line in eq.read_text().splitlines(True)
+                          if not line.startswith("# delta=")))
+    code, out = _run(capsys, *args, "--delta", "1%")
+    assert code == 0 and ",0.01,deletion," in out
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,15 @@ def test_polar_code_validation():
         with pytest.raises(ValueError, match="integer indices"):
             PolarCode(n=4, design_delta=0.1, equivocations=np.zeros(4), info_set=info_set)
     assert PolarCode(n=4, design_delta=0.1, equivocations=np.zeros(4), info_set=[]).k == 0
+    # a float count is refused by name, where the power-of-two test or range()
+    # raised a TypeError
+    for call, message in (
+            (lambda: make_polar_code(8.0, 0.01, np.zeros(8)), "block length must be an integer, got 8.0"),
+            (lambda: equivocation_stats(8.0, 0.01, samples=2), "block length must be an integer, got 8.0"),
+            (lambda: equivocation_stats(8, 0.01, samples=2.5), "samples must be an integer, got 2.5"),
+            (lambda: equivocation_stats(8, 0.01, samples=0), "samples must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
     # the frozen mask is derived from the info set, never passed in
     with pytest.raises(TypeError):
         PolarCode(n=8, design_delta=0.01, equivocations=np.zeros(8),

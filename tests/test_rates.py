@@ -107,13 +107,20 @@ def test_binom_cdf_rejects_bad_domain():
         binom_cdf(10, 0.1, 11)
     with pytest.raises(ValueError):
         binom_cdf(10, 0.1, -1)
-    # a non-integer would index the table and fail there with an IndexError
-    for ell, d, message in ((10, 2.5, "deletion count must be an integer, got 2.5"),
-                            (10.5, 2, "block length must be an integer, got 10.5"),
-                            (10.0, 2, "block length must be an integer, got 10.0"),
-                            (10, np.float64(2.0), "deletion count must be an integer, got ")):
+    # a non-integer would index the table and fail there with an IndexError;
+    # redundancy, concat_rates and concat_envelope refuse one by the same rule
+    fam = RateFamily(q=2, family="explicit")
+    for func, args, message in (
+            (binom_cdf, (10, 0.1, 2.5), "deletion count must be an integer, got 2.5"),
+            (binom_cdf, (10.5, 0.1, 2), "block length must be an integer, got 10.5"),
+            (binom_cdf, (10.0, 0.1, 2), "block length must be an integer, got 10.0"),
+            (binom_cdf, (10, 0.1, np.float64(2.0)), "deletion count must be an integer, got "),
+            (redundancy, (fam, 2.0), "deletion count must be an integer, got 2.0"),
+            (redundancy, (fam, 1, 256.5), "block length must be an integer, got 256.5"),
+            (concat_rates, (fam, 0.01, 256.0), "block length must be an integer, got 256.0"),
+            (concat_envelope, (fam, 0.01, 16.5), "block length must be an integer, got 16.5")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            binom_cdf(ell, 0.1, d)
+            func(*args)
     assert binom_cdf(np.int64(10), 0.1, np.int32(2)) == binom_cdf(10, 0.1, 2)
 
 

@@ -186,6 +186,13 @@ def test_replay_reproduces_recorded_failures():
     with pytest.raises(ValueError, match="unknown error kind 'bogus', expected one of "
                                          ".*'quaternary'"):
         replay_pool(code, "bogus", row.delta, row.cell_seed, good)
+    # an index is a stream key, so a negative or fractional one is refused
+    # by name, as the config refuses its counts
+    for index, message in ((-1, "pool_index must be at least 0, got -1"),
+                           (1.0, "pool_index must be an integer, got 1.0"),
+                           (Fraction(1, 2), "pool_index must be an integer, got Fraction(1, 2)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replay_pool(code, row.error_kind, row.delta, row.cell_seed, index)
 
 
 @pytest.mark.parametrize("kind", sim.ERROR_KINDS)
