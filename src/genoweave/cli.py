@@ -3,9 +3,13 @@
 Subcommands: construct (Monte-Carlo code design), rates (concatenation
 baseline tables), simulate (pool failure counts), figures (CSV series
 behind the standard plots).  Error rates accept plain decimals or
-percentages, so --delta 0.01 and --delta 1% agree.  CSV goes to --out or
-stdout; progress and diagnostics go to stderr.  Exit status: 0 on
-success, 2 on usage errors, 1 on an internal anomaly.
+percentages, and a percentage is divided by 100 exactly, as a decimal, so
+--delta 0.01 and --delta 1% agree, as do 0.011 and 1.1%.  Each subcommand
+returns its CSV text, in the one format polar.format_csv writes: '# key=value'
+provenance lines, the column line, one line per row, floats as their
+shortest repr.  main writes it to --out or stdout, once; progress and
+diagnostics go to stderr.  Exit status: 0 on success, 2 on usage errors,
+1 on an internal anomaly.
 """
 
 from __future__ import annotations
@@ -13,24 +17,27 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal, DecimalException
+from functools import partial
 
 import numpy as np
 
 from . import rates as rates_mod
 from . import sim
-from .polar import format_equivocations_csv, make_polar_code, read_equivocations_with_meta
-from .rates import RateFamily, capacity, concat_envelope, concat_rates
+from .polar import (format_csv, format_equivocations_csv, make_polar_code,
+                    read_equivocations_with_meta)
+from .rates import RateFamily, capacity, concat_envelope, concat_rates, table_envelope
 from .sim import ExperimentConfig
 
 DEFAULT_DELTAS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
 
 
 def parse_delta(text: str) -> float:
-    """Accept 0.01 or 1% style rates."""
+    """Accept 0.01 or 1% style rates; a percentage is divided by 100 exactly, so 1.1% is 0.011."""
     t = text.strip()
     try:
-        value = float(t[:-1]) / 100.0 if t.endswith("%") else float(t)
-    except ValueError:
+        value = float(Decimal(t[:-1]) / 100) if t.endswith("%") else float(t)
+    except (ValueError, DecimalException):
         raise ValueError(f"cannot parse error rate {text!r}") from None
     if not 0.0 <= value < 1.0:
         raise ValueError(f"error rate must lie in [0, 1), got {text!r}")
@@ -70,53 +77,43 @@ def _strengths(args: argparse.Namespace, first: int) -> range:
     return range(first, args.dmax + 1)
 
 
-def _write(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its CSV text, for main to write
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> str:
     delta = parse_delta(args.delta)
     (code, cseed), = sim.run_construction_sweep(ExperimentConfig(
         n=args.n, delta_list=(delta,), construction_samples=args.samples,
         master_seed=args.seed))
-    _write(args.out, format_equivocations_csv(code.equivocations, {
-        "seed": args.seed, "n": args.n, "delta": repr(delta),
-        "samples": args.samples, "code_rate": repr(code.rate),
+    return format_equivocations_csv(code.equivocations, {
+        "seed": args.seed, "n": args.n, "delta": delta,
+        "samples": args.samples, "code_rate": code.rate,
         "construction_seed": cseed,
-    }))
-    return 0
+    })
 
 
-def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[str]:
-    """delta,d,rate,envelope_rate,envelope_opt_d rows over the delta grid."""
+_CONCAT_COLUMNS = "delta,d,rate,envelope_rate,envelope_opt_d"
+
+
+def _concat_rows(fam: RateFamily, args: argparse.Namespace) -> list[tuple]:
+    """(delta, d, rate, envelope_rate, envelope_opt_d) rows over the delta grid."""
     grid = _delta_grid(args.grid_points)
     strengths = _strengths(args, 0)
     tables = [concat_rates(fam, float(delta), args.ell) for delta in grid]  # checks --ell
     rows = []
     for delta, rates in zip(grid, tables):
-        env_d = int(np.argmax(rates))  # the envelope: ties go to the smaller d
-        for d in strengths:
-            rows.append(f"{float(delta)!r},{d},{float(rates[d])!r},"
-                        f"{float(rates[env_d])!r},{env_d}")
+        env_rate, env_d = table_envelope(rates)
+        rows += [(delta, d, rates[d], env_rate, env_d) for d in strengths]
     return rows
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
-    lines = ["# seed=none", "delta,d,rate,envelope_rate,envelope_opt_d"]
-    lines += _concat_rows(RateFamily(q=args.q, family=args.family), args)
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
+def _cmd_rates(args: argparse.Namespace) -> str:
+    rows = _concat_rows(RateFamily(q=args.q, family=args.family), args)
+    return format_csv({"seed": "none"}, _CONCAT_COLUMNS, rows)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     delta = parse_delta(args.delta)
     config = ExperimentConfig(
         n=args.n, delta_list=(delta,), error_kind=args.errors, pools=args.pools,
@@ -134,13 +131,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # quaternary keeps its own entry point, so a profile tells the kinds apart
     run = (sim.run_quaternary_pool_experiment if args.errors == "quaternary"
            else sim.run_pool_experiment)
-    rows = run(config, codes=codes)
-    _write(args.out, sim.results_to_csv(rows, args.seed))
-    return 0
+    return sim.results_to_csv(run(config, codes=codes), args.seed)
 
 
 def _figure_scalar(args: argparse.Namespace) -> str:
-    lines = ["# seed=none", "series,q,d,redundancy_symbols,normalized"]
+    rows = []
     series = (
         ("putative", RateFamily(q=2, family="putative")),
         ("implicit", RateFamily(q=2, family="implicit")),
@@ -152,15 +147,14 @@ def _figure_scalar(args: argparse.Namespace) -> str:
         for d in strengths:
             r = rates_mod.redundancy(fam, d, args.ell)
             norm = r / (d * math.log(args.ell, fam.q))
-            lines.append(f"{name},{fam.q},{d},{float(r)!r},{float(norm)!r}")
-    return "\n".join(lines) + "\n"
+            rows.append((name, fam.q, d, r, norm))
+    return format_csv({"seed": "none"}, "series,q,d,redundancy_symbols,normalized", rows)
 
 
 def _figure_concat(args: argparse.Namespace, q: int) -> str:
-    lines = ["# seed=none", "family,delta,d,rate,envelope_rate,envelope_opt_d"]
-    for family in rates_mod.FAMILIES:
-        lines += [f"{family},{row}" for row in _concat_rows(RateFamily(q=q, family=family), args)]
-    return "\n".join(lines) + "\n"
+    rows = [(family, *row) for family in rates_mod.FAMILIES
+            for row in _concat_rows(RateFamily(q=q, family=family), args)]
+    return format_csv({"seed": "none"}, "family," + _CONCAT_COLUMNS, rows)
 
 
 def _constructed(args: argparse.Namespace, deltas: tuple[float, ...]):
@@ -173,40 +167,33 @@ def _constructed(args: argparse.Namespace, deltas: tuple[float, ...]):
 
 
 def _figure_equiv(args: argparse.Namespace) -> str:
-    # the sorted equivocation profile: the r-th smallest value at x = r/n
-    lines = [f"# seed={args.seed}", "n,delta,fraction,equivocation,floored"]
-    for n, code in _constructed(args, args.deltas or (0.01,)):
-        for r, eq in enumerate(np.sort(code.equivocations).tolist(), 1):
-            # floored so that it survives a log-scale axis
-            lines.append(f"{n},{float(code.design_delta)!r},{r / n!r},"
-                         f"{eq!r},{max(eq, 1e-300)!r}")
-    return "\n".join(lines) + "\n"
+    # the sorted equivocation profile: the r-th smallest value at x = r/n,
+    # floored so that it survives a log-scale axis
+    rows = [(n, code.design_delta, r / n, eq, max(eq, 1e-300))
+            for n, code in _constructed(args, args.deltas or (0.01,))
+            for r, eq in enumerate(np.sort(code.equivocations).tolist(), 1)]
+    return format_csv({"seed": args.seed}, "n,delta,fraction,equivocation,floored", rows)
 
 
 def _figure_all(args: argparse.Namespace, q: int) -> str:
     grid = _delta_grid(args.grid_points)
-    lines = [f"# seed={args.seed}", "series,delta,value"]
+    rows = []
     if q == 4:
-        for delta in grid:
-            lines.append(f"capacity_quaternary,{float(delta)!r},{capacity(4, float(delta))!r}")
-    for delta in grid:
-        lines.append(f"capacity_binary,{float(delta)!r},{capacity(2, float(delta))!r}")
+        rows += [("capacity_quaternary", delta, capacity(4, float(delta))) for delta in grid]
+    rows += [("capacity_binary", delta, capacity(2, float(delta))) for delta in grid]
     for family in rates_mod.FAMILIES:
         fam = RateFamily(q=q, family=family)
-        for delta in grid:
-            env_rate, _ = concat_envelope(fam, float(delta), args.ell)
-            lines.append(f"envelope_{family},{float(delta)!r},{float(env_rate)!r}")
-    for n, code in _constructed(args, args.deltas or DEFAULT_DELTAS):
-        lines.append(f"polar_n{n},{float(code.design_delta)!r},{float(code.rate)!r}")
-    return "\n".join(lines) + "\n"
+        rows += [(f"envelope_{family}", delta, concat_envelope(fam, float(delta), args.ell)[0])
+                 for delta in grid]
+    rows += [(f"polar_n{n}", code.design_delta, code.rate)
+             for n, code in _constructed(args, args.deltas or DEFAULT_DELTAS)]
+    return format_csv({"seed": args.seed}, "series,delta,value", rows)
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    figure = {"scalar": _figure_scalar, "equiv": _figure_equiv,
-              "concat2": lambda a: _figure_concat(a, 2), "all2": lambda a: _figure_all(a, 2),
-              "concat4": lambda a: _figure_concat(a, 4), "all4": lambda a: _figure_all(a, 4)}
-    _write(args.out, figure[args.which](args))
-    return 0
+# --which choices, in the order the help lists them
+_FIGURES = {"scalar": _figure_scalar, "concat2": partial(_figure_concat, q=2),
+            "concat4": partial(_figure_concat, q=4), "equiv": _figure_equiv,
+            "all2": partial(_figure_all, q=2), "all4": partial(_figure_all, q=4)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("figures", parents=[seeded, grid, out],
                        help="CSV series behind the standard figures")
-    f.add_argument("--which", required=True,
-                   choices=("scalar", "concat2", "concat4", "equiv", "all2", "all4"))
+    f.add_argument("--which", required=True, choices=_FIGURES)
     f.add_argument("--ns", type=_parse_int_list, default=(256, 4096),
                    help="comma-separated strand counts for constructed-rate series")
     f.add_argument("--deltas", type=_parse_delta_list, default=None,
                    help="comma-separated rates for constructed-rate series")
-    f.set_defaults(func=_cmd_figures)
+    f.set_defaults(func=lambda args: _FIGURES[args.which](args))
     return top
 
 
@@ -268,7 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.out is None:  # looked up now, so a redirect_stdout around main sees the CSV
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

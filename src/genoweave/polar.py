@@ -34,6 +34,7 @@ __all__ = [
     "equivocation_stats",
     "make_polar_code",
     "design_polar_code",
+    "format_csv",
     "format_equivocations_csv",
     "read_equivocations_csv",
     "read_equivocations_with_meta",
@@ -556,13 +557,24 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000,
 # serialization
 
 
+def format_csv(meta: dict, columns: str, rows) -> str:
+    """CSV text: a '# key=value' line per meta item, the column line, a line per row.
+
+    A float, numpy's included, is written as repr(float(v)), the shortest
+    text that reads back to it, in rows and meta alike; anything else as str.
+    """
+    def cell(value) -> str:
+        return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+    lines = [f"# {key}={cell(val)}" for key, val in meta.items()]
+    lines.append(columns)
+    lines += [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def format_equivocations_csv(equivocations, meta: dict) -> str:
     """An equivocation vector as CSV text with '# key=value' provenance lines."""
     eq = np.asarray(equivocations, dtype=np.float64)
-    lines = [f"# {key}={val}" for key, val in meta.items()]
-    lines.append("index,equivocation")
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(eq)]
-    return "\n".join(lines) + "\n"
+    return format_csv(meta, "index,equivocation", enumerate(eq))
 
 
 def read_equivocations_csv(path: str) -> np.ndarray:

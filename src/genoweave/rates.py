@@ -27,6 +27,7 @@ __all__ = [
     "binom_cdf",
     "redundancy",
     "concat_rates",
+    "table_envelope",
     "concat_envelope",
 ]
 
@@ -163,11 +164,12 @@ def concat_rates(fam: RateFamily, delta: float, ell: int = 256) -> np.ndarray:
     return np.maximum(0.0, 1.0 - r / ell) * _cdf_table(ell, delta)
 
 
-def concat_envelope(fam: RateFamily, delta: float, ell: int = 256) -> tuple[float, int]:
-    """Best concatenation rate over d = 0..ell and the d attaining it.
-
-    Ties go to the smaller d.  Returns (rate, d_star).
-    """
-    rates = concat_rates(fam, delta, ell)
+def table_envelope(rates: np.ndarray) -> tuple[float, int]:
+    """Best rate of a concat_rates table and the d attaining it; ties go to the smaller d."""
     d_star = int(np.argmax(rates))
     return float(rates[d_star]), d_star
+
+
+def concat_envelope(fam: RateFamily, delta: float, ell: int = 256) -> tuple[float, int]:
+    """Best concatenation rate over d = 0..ell and the d attaining it: (rate, d_star)."""
+    return table_envelope(concat_rates(fam, delta, ell))

@@ -52,8 +52,8 @@ from functools import partial
 import numpy as np
 
 from .channels import ChannelSpec, apply_channel_pool, delete_pool_coincident
-from .polar import PolarCode, _integer, _is_pow2, _workers, design_polar_code
-from .weave import decode_pool_batch, weave_encode
+from .polar import PolarCode, _integer, _is_pow2, _workers, design_polar_code, format_csv
+from .weave import _check_crossover, decode_pool_batch, weave_encode
 
 __all__ = [
     "STRAND_LENGTH",
@@ -102,9 +102,8 @@ class ExperimentConfig:
         deltas = tuple(float(d) + 0.0 for d in self.delta_list)
         if not deltas:
             raise ValueError("need at least one error rate")
-        for d in deltas:
-            if not 0.0 <= d < 0.5:
-                raise ValueError(f"error rate must lie in [0, 1/2), got {d}")
+        for d in deltas:  # each cell decodes under its own rate
+            _check_crossover(d)
         if self.master_seed < 0:  # every seed derives from it, and numpy takes none below 0
             raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "delta_list", deltas)
@@ -323,11 +322,9 @@ def results_to_csv(rows: list[ExperimentResult], master_seed: int) -> str:
     Each row carries its cell_seed and its failed_pools (space-separated
     indices), so replay_pool can regenerate any failed pool from the row.
     """
-    lines = [f"# seed={master_seed}",
-             "n,delta,error_kind,pools,failures,code_rate,seed,cell_seed,failed_pools"]
-    for r in rows:
-        lines.append(f"{r.n},{float(r.delta)!r},{r.error_kind},{r.pools_run},"
-                     f"{r.failure_count},{float(r.code_rate)!r},{r.seed},"
-                     f"{r.cell_seed},{' '.join(map(str, r.failed_pools))}")
-    return "\n".join(lines) + "\n"
+    return format_csv(
+        {"seed": master_seed},
+        "n,delta,error_kind,pools,failures,code_rate,seed,cell_seed,failed_pools",
+        [(r.n, r.delta, r.error_kind, r.pools_run, r.failure_count, r.code_rate, r.seed,
+          r.cell_seed, " ".join(map(str, r.failed_pools))) for r in rows])
 

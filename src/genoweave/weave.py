@@ -39,10 +39,15 @@ _STEP = {"push": -1, "pull": 1, "fixed": 0}  # read-index move per contradicted 
 CERTAIN_LLR = 50.0
 
 
+def _check_crossover(delta: float) -> None:
+    # the crossovers the decoder's model takes: at 1/2 a symbol carries no information
+    if not 0.0 <= delta < 0.5:  # NaN too
+        raise ValueError(f"LLR model crossover must lie in [0, 1/2), got {delta}")
+
+
 def _llr_table(delta: float) -> np.ndarray:
     """The decoder's BSC(delta) model, indexed by symbol: [LLR(0), LLR(1), LLR(erasure)]."""
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"LLR model crossover must lie in [0, 1/2), got {delta}")
+    _check_crossover(delta)
     certain = CERTAIN_LLR if delta == 0.0 else math.log((1.0 - delta) / delta)
     return np.array([certain, -certain, 0.0])
 

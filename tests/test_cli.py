@@ -26,6 +26,11 @@ def test_parse_delta_decimal_and_percent():
     assert parse_delta("0.5%") == 0.005
     assert parse_delta(" 10% ") == 0.1
     assert parse_delta("0") == 0.0
+    # a percentage is its decimal exactly: float("1.1") / 100 would give
+    # 0.011000000000000001, and with it other seeds and another code
+    assert parse_delta("1.1%") == parse_delta("0.011") == 0.011
+    for i in range(1, 5000):  # 0.01% .. 49.99%
+        assert parse_delta(f"{i // 100}.{i % 100:02d}%") == parse_delta(f"0.{i:04d}")
     # -0 is the rate 0 with a positive sign, so it derives the seeds of 0
     for zero in ("-0", "-0.0", "-0%"):
         assert math.copysign(1.0, parse_delta(zero)) == 1.0
@@ -65,11 +70,12 @@ def test_construct_records_the_seed_it_drew_from(tmp_path, capsys):
 def test_construct_percent_and_decimal_agree(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    _run(capsys, "construct", "--n", "16", "--delta", "1%",
-         "--samples", "50", "--out", str(a))
-    _run(capsys, "construct", "--n", "16", "--delta", "0.01",
-         "--samples", "50", "--out", str(b))
-    assert a.read_text() == b.read_text()
+    for percent, decimal in (("1%", "0.01"), ("1.1%", "0.011")):
+        _run(capsys, "construct", "--n", "16", "--delta", percent,
+             "--samples", "50", "--out", str(a))
+        _run(capsys, "construct", "--n", "16", "--delta", decimal,
+             "--samples", "50", "--out", str(b))
+        assert a.read_text() == b.read_text()
 
 
 def test_negative_zero_rate_writes_the_rate_zero(capsys):

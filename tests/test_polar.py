@@ -12,6 +12,7 @@ from genoweave.polar import (
     PolarCode,
     design_polar_code,
     equivocation_stats,
+    format_csv,
     format_equivocations_csv,
     make_polar_code,
     polar_transform,
@@ -391,6 +392,18 @@ def test_equivocations_csv_roundtrip(tmp_path):
     back = read_equivocations_csv(str(path))
     assert (back == eq).all()
     assert text.startswith("# n=16\n# delta=0.05\n")
+
+
+def test_format_csv_writes_every_float_as_its_shortest_repr():
+    # numpy's floats too: repr(np.float64(0.1)) is 'np.float64(0.1)' under numpy 2,
+    # and a float32 is written as the double it reads back as, not as str's '0.1'
+    values = (np.float64(0.1), 1 / 3, 7, np.int64(-2), "none")
+    text = format_csv(dict(zip("abcde", values)), "a,b,c,d,e",
+                      [values, (np.float64(1e-300), np.float32(0.1))])
+    assert text == ("# a=0.1\n# b=0.3333333333333333\n# c=7\n# d=-2\n# e=none\n"
+                    "a,b,c,d,e\n0.1,0.3333333333333333,7,-2,none\n"
+                    "1e-300,0.10000000149011612\n")
+    assert "np." not in text and "float64" not in text
 
 
 def test_equivocations_csv_rejects_out_of_order_rows(tmp_path):

@@ -534,7 +534,8 @@ def test_quaternary_uses_its_own_seed_stream():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n=48, delta_list=(0.01,))
-    with pytest.raises(ValueError):
+    # the decoder's crossover domain, checked by the rule weave's LLR model applies
+    with pytest.raises(ValueError, match=re.escape("crossover must lie in [0, 1/2), got 0.6")):
         ExperimentConfig(n=64, delta_list=(0.6,))
     with pytest.raises(ValueError, match="expected one of .*'quaternary'"):
         ExperimentConfig(n=64, delta_list=(0.01,), error_kind="duplication")
