@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar import _is_binary
+from .polar import _symbols
 
 __all__ = [
     "ERASURE",
@@ -32,15 +32,6 @@ __all__ = [
 ]
 
 ERASURE = 2
-
-
-def _check_strand(strand) -> np.ndarray:
-    s = np.asarray(strand)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("strand must be a nonempty vector")
-    if not _is_binary(s):
-        raise ValueError("strand must be binary")
-    return s.astype(np.uint8, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +51,9 @@ def quaternary_split(strand: str) -> tuple[np.ndarray, np.ndarray]:
 
 def quaternary_merge(real, imag) -> str:
     """Inverse of quaternary_split."""
-    r = _check_strand(real)
-    i = _check_strand(imag)
-    if r.size != i.size:
-        raise ValueError(f"component lengths differ: {r.size} vs {i.size}")
+    r, i = (_symbols(part, "strand must be binary") for part in (real, imag))
+    if r.ndim != 1 or r.shape != i.shape:
+        raise ValueError(f"components must be vectors of one length, got {r.shape} and {i.shape}")
     return "".join(_LETTERS[v] for v in (r + 2 * i))
 
 
@@ -81,9 +71,7 @@ def _check_pool(pool, delta: float) -> np.ndarray:
     p = np.asarray(pool)
     if p.ndim != 2:
         raise ValueError("pool must be a (strands, length) matrix")
-    if not _is_binary(p):
-        raise ValueError("pool must be binary")
-    return p.astype(np.uint8, copy=False)
+    return _symbols(p, "pool must be binary")
 
 
 def _compact_rows(values: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte-Carlo construction samples")
     seeded.add_argument("--seed", type=int, default=0)
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--ell", type=int, default=256)
+    grid.add_argument("--ell", type=int, default=sim.STRAND_LENGTH)
     grid.add_argument("--grid-points", type=int, default=200)
     grid.add_argument("--dmax", type=int, default=16)
 

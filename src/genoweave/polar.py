@@ -42,6 +42,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# symbols per strand, so a pool carries this many codewords (sim re-exports it)
+STRAND_LENGTH = 256
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -65,12 +68,25 @@ def _check_design(n: int, delta: float) -> None:
         raise ValueError(f"design crossover must lie in [0, 1/2], got {delta}")
 
 
-def _is_binary(a: np.ndarray) -> bool:
-    # on the raw array, before any cast: a cast to uint8 maps 0.5 and 256 to 0
-    # and 257 to 1
-    if a.dtype.kind in "bu":
-        return bool((a <= 1).all())
-    return bool(((a == 0) | (a == 1)).all())
+def _symbols(a, what: str, top: int = 1) -> np.ndarray:
+    # a as uint8, not copied where it already is, if every entry lies in
+    # 0..top; else ValueError(f"{what}, got {bad}").  Judged on the raw array:
+    # a cast to uint8 maps 0.5 and 256 to 0 and 257 to 1.  Unsigned and bool
+    # symbols need only max(), which allocates nothing.
+    a = np.asarray(a)
+    if not (a.dtype.kind in "bu" and (a.size == 0 or a.max() <= top)):
+        ok = np.isin(a, np.arange(top + 1))  # NaN and -1 are in no range
+        if not ok.all():
+            raise ValueError(f"{what}, got {a[~ok][0]}")
+    return a.astype(np.uint8, copy=False)
+
+
+def _bsc_llr(delta: float) -> float:
+    # log((1 - delta) / delta), the LLR of a 0 seen through BSC(delta).  Only
+    # where the ratio overflows, below delta ~ 5.6e-309, the log1p form: it
+    # differs in the last bits elsewhere, which would move constructions.
+    ratio = (1.0 - delta) / delta
+    return math.log(ratio) if ratio < math.inf else math.log1p(-delta) - math.log(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +119,8 @@ def polar_transform(u) -> np.ndarray:
     n = u.shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"length must be a power of two, got {n}")
-    if not _is_binary(u):
-        raise ValueError("input must be binary")
-    xt = np.array(u.reshape(-1, n).T, dtype=np.uint8, order="C")
+    u = _symbols(u, "input must be binary")
+    xt = np.array(u.reshape(-1, n).T, order="C")
     _xor_stages(xt)
     return xt.T.reshape(u.shape)
 
@@ -166,13 +181,13 @@ def make_polar_code(n: int, design_delta: float, equivocations,
                     threshold: float | None = None) -> PolarCode:
     """Build a PolarCode from an equivocation vector.
 
-    threshold defaults to 1/(256 n), the per-pool budget split evenly over
-    the 256 strand positions.  Selection is strict: ties at the threshold
-    stay frozen.
+    threshold defaults to 1/(STRAND_LENGTH n), the per-pool budget split
+    evenly over the strand positions.  Selection is strict: ties at the
+    threshold stay frozen.
     """
     eq = np.asarray(equivocations, dtype=np.float64)
     if threshold is None:
-        threshold = 1.0 / (256.0 * n)
+        threshold = 1.0 / (STRAND_LENGTH * n)
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     return PolarCode(n=n, design_delta=design_delta, equivocations=eq,
@@ -534,7 +549,7 @@ def equivocation_stats(n: int, delta: float, samples: int = 1000,
     if delta == 0.0:
         return EquivocationStats(np.zeros(n), 0.0, 0.0, samples)
 
-    table = _genie_table(n, math.log((1.0 - delta) / delta))
+    table = _genie_table(n, _bsc_llr(delta))
     genie = partial(_genie_block, n, delta, seed, table)
     eq_sum = np.zeros(n, dtype=np.float64)
     tot_sum = 0.0

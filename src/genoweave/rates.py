@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar import _integer
+from .polar import STRAND_LENGTH, _integer
 
 __all__ = [
     "RateFamily",
@@ -123,7 +123,7 @@ def binom_cdf(ell: int, delta: float, d: int) -> float:
     return float(_cdf_table(ell, delta)[d])
 
 
-def redundancy(fam: RateFamily, d: int, ell: int = 256) -> float:
+def redundancy(fam: RateFamily, d: int, ell: int = STRAND_LENGTH) -> float:
     """Redundancy, in q-ary symbols, of a d-deletion-correcting code of length ell.
 
     explicit, q=2:  log2(ell) at d=1 (VT codes), 4 log2(ell) at d=2,
@@ -151,7 +151,7 @@ def redundancy(fam: RateFamily, d: int, ell: int = 256) -> float:
     return 4.0 * d * l2
 
 
-def concat_rates(fam: RateFamily, delta: float, ell: int = 256) -> np.ndarray:
+def concat_rates(fam: RateFamily, delta: float, ell: int = STRAND_LENGTH) -> np.ndarray:
     """Rate of concatenation for every inner code strength d = 0..ell.
 
     The inner code spends redundancy(fam, d) of the ell strand symbols and
@@ -170,6 +170,6 @@ def table_envelope(rates: np.ndarray) -> tuple[float, int]:
     return float(rates[d_star]), d_star
 
 
-def concat_envelope(fam: RateFamily, delta: float, ell: int = 256) -> tuple[float, int]:
+def concat_envelope(fam: RateFamily, delta: float, ell: int = STRAND_LENGTH) -> tuple[float, int]:
     """Best concatenation rate over d = 0..ell and the d attaining it: (rate, d_star)."""
     return table_envelope(concat_rates(fam, delta, ell))

@@ -46,13 +46,15 @@ import struct
 import sys
 import time
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .channels import ChannelSpec, apply_channel_pool, delete_pool_coincident
-from .polar import PolarCode, _integer, _is_pow2, _workers, design_polar_code, format_csv
+from .polar import (STRAND_LENGTH, PolarCode, _integer, _is_pow2, _workers, design_polar_code,
+                    format_csv)
 from .weave import _check_crossover, decode_pool_batch, weave_encode
 
 __all__ = [
@@ -65,8 +67,6 @@ __all__ = [
     "run_quaternary_pool_experiment",
     "results_to_csv",
 ]
-
-STRAND_LENGTH = 256
 
 # each kind's decoder mode, its binary components per pool and the width
 # of a strand's observations: an inserting channel can double a strand
@@ -98,6 +98,8 @@ class ExperimentConfig:
         if not _is_pow2(self.n):
             raise ValueError(f"strand count must be a power of two, got {self.n}")
         _check_kind(self.error_kind)
+        if isinstance(self.delta_list, (str, bytes)) or not isinstance(self.delta_list, Iterable):
+            raise ValueError(f"delta_list must be a sequence of rates, got {self.delta_list!r}")
         # + 0.0 maps -0.0 to 0.0, whose IEEE bits derive_seed would hash apart
         deltas = tuple(float(d) + 0.0 for d in self.delta_list)
         if not deltas:

@@ -16,13 +16,12 @@ kernel's (strands, pools) layout, so no array is transposed per position.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ERASURE
-from .polar import PolarCode, _is_binary, polar_transform, sc_decode_batch
+from .polar import PolarCode, _bsc_llr, _symbols, polar_transform, sc_decode_batch
 
 __all__ = [
     "weave_encode",
@@ -48,7 +47,7 @@ def _check_crossover(delta: float) -> None:
 def _llr_table(delta: float) -> np.ndarray:
     """The decoder's BSC(delta) model, indexed by symbol: [LLR(0), LLR(1), LLR(erasure)]."""
     _check_crossover(delta)
-    certain = CERTAIN_LLR if delta == 0.0 else math.log((1.0 - delta) / delta)
+    certain = CERTAIN_LLR if delta == 0.0 else _bsc_llr(delta)
     return np.array([certain, -certain, 0.0])
 
 
@@ -80,8 +79,7 @@ def weave_encode(info_bits, code: PolarCode) -> Pool:
         raise ValueError(f"expected {code.k} info columns, got {k}")
     if length < 1:
         raise ValueError("need at least one position")
-    if not _is_binary(info):
-        raise ValueError("info_bits must be binary")
+    info = _symbols(info, "info_bits must be binary")
     u = np.zeros((length, code.n), dtype=np.uint8)   # frozen positions stay 0
     u[:, code.info_set] = info
     strands = polar_transform(u).T   # rows of the transform are codewords; .T is C-contiguous
@@ -114,14 +112,7 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     obs = np.asarray(obs)
     if obs.ndim != 3 or obs.shape[1] != code.n:
         raise ValueError(f"expected obs shape (W, {code.n}, width), got {obs.shape}")
-    # on the raw array, as polar._is_binary checks bits: the uint8 cast below
-    # maps 0.5 to 0 and 1.5 to 1.  Unsigned symbols need only max(), which
-    # allocates nothing.
-    if not (obs.dtype.kind in "bu" and (obs.size == 0 or obs.max() <= ERASURE)):
-        ok = (obs == 0) | (obs == 1) | (obs == ERASURE)
-        if not ok.all():
-            raise ValueError(f"observation symbols must be 0, 1 or ERASURE ({ERASURE}), "
-                             f"got {obs[~ok][0]}")
+    obs = _symbols(obs, f"observation symbols must be 0, 1 or ERASURE ({ERASURE})", ERASURE)
     W, n, width = obs.shape
     # An offset grows by at most 1 per position, so entering position p it
     # lies in [0, p]: push reads index p - d in [0, p] and pull reads p + i in
@@ -137,7 +128,7 @@ def decode_pool_batch(obs: np.ndarray, code: PolarCode, mode: str, length: int,
     # Everything per position is (n, W), the kernel's layout.  Symbol p of
     # strand (w, s) is at flat index p W n + w n + s of the position-major
     # obs; at[s, w] is that index at p = 0, moved by the strand's offset.
-    flat = np.ascontiguousarray(obs.transpose(2, 0, 1), dtype=np.uint8).reshape(-1)
+    flat = np.ascontiguousarray(obs.transpose(2, 0, 1)).reshape(-1)
     row = W * n
     base = np.arange(row, dtype=np.int64).reshape(W, n).T
     at = base.copy()

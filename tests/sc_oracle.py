@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from genoweave.polar import EquivocationStats, _is_binary
+from genoweave.polar import EquivocationStats
 
 _LN2 = math.log(2.0)
 
@@ -136,7 +136,7 @@ def genie_posteriors(llrs, true_u) -> PosteriorSample:
         raise ValueError("LLRs must be a vector of power-of-two length")
     n = llrs.shape[0]
     tu = np.asarray(true_u)
-    if tu.shape != (n,) or not _is_binary(tu):
+    if tu.shape != (n,) or not ((tu == 0) | (tu == 1)).all():
         raise ValueError("true_u must be a length-n bit-vector")
     leaf = np.empty((1, n))
     _sc_batch(llrs[None], None, forced=tu.astype(np.uint8)[None], leaf_llrs=leaf)

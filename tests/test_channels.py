@@ -208,9 +208,10 @@ def test_quaternary_all_a_is_all_zero():
 
 
 def test_quaternary_bijection_exhaustive_length4():
-    for letters in itertools.product("ACGT", repeat=4):
-        s = "".join(letters)
-        assert quaternary_merge(*quaternary_split(s)) == s
+    for length in range(5):  # the empty strand too
+        for letters in itertools.product("ACGT", repeat=length):
+            s = "".join(letters)
+            assert quaternary_merge(*quaternary_split(s)) == s
 
 
 def test_quaternary_bijection_randomized_length256():
@@ -220,6 +221,12 @@ def test_quaternary_bijection_randomized_length256():
         s = "".join(rng.choice(letters, size=256))
         real, imag = quaternary_split(s)
         assert quaternary_merge(real, imag) == s
+
+
+def test_quaternary_merge_rejects_mismatched_components():
+    for shape_r, shape_i in ((3, 4), ((2, 2), (2, 2)), ((), ())):
+        with pytest.raises(ValueError, match="vectors of one length"):
+            quaternary_merge(np.zeros(shape_r, np.uint8), np.zeros(shape_i, np.uint8))
 
 
 def test_quaternary_merge_then_split_roundtrip():
@@ -379,7 +386,7 @@ def test_pool_channels_match_python_list_compaction(delta):
                      _compact_by_list(grown, 2 * shape[1]))
 
 
-@pytest.mark.parametrize("bad", [0.5, 256, 257])
+@pytest.mark.parametrize("bad", [0.5, 256, 257, np.nan, -1])
 def test_channels_reject_values_a_uint8_cast_would_hide(bad):
     # 0.5 and 256 cast to 0 and 257 to 1, so the check must see the raw values
     pool = np.array([[0, 1, bad, 1]])
@@ -395,6 +402,12 @@ def test_channels_reject_values_a_uint8_cast_would_hide(bad):
             delete_pool_coincident(real, imag, 0.1, rng)
         with pytest.raises(ValueError, match="binary"):
             quaternary_merge(real[0], imag[0])
+    # bools are bits
+    flags = np.array([[False, True, True, False]])
+    for channel in (bsc_pool, delete_pool, insert_pool):
+        want = channel(flags.astype(np.uint8), 0.1, np.random.default_rng(1))
+        _same_output(channel(flags, 0.1, np.random.default_rng(1)), want)
+    assert quaternary_merge(flags[0], ~flags[0]) == "GCCG"
 
 
 def test_apply_channel_pool_dispatch_matches_components():

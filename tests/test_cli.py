@@ -1,6 +1,7 @@
 """Command-line contract: flags, exit codes, CSV shapes, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_simulate_basic_row(capsys):
     assert lines[1] == "n,delta,error_kind,pools,failures,code_rate,seed,cell_seed,failed_pools"
     fields = lines[2].split(",")
     assert fields[0] == "32" and fields[4] == "0" and fields[8] == ""
+
+
+def test_subnormal_rate_constructs_and_simulates(capsys):
+    # (1 - delta) / delta overflows at this rate; the LLR it stands for must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(capsys, "construct", "--n", "4", "--delta", "1e-320", "--samples", "3")
+        assert code == 0 and out.endswith("\n3,0.0\n")
+        code, out = _run(capsys, "simulate", "--n", "4", "--delta", "1e-320", "--errors",
+                         "insertion", "--pools", "2", "--samples", "3")
+    assert code == 0
+    assert out.split("\n")[2].split(",")[2:6] == ["insertion", "2", "0", "1.0"]
 
 
 def test_simulate_reruns_are_byte_identical(capsys):

@@ -84,7 +84,7 @@ def test_transform_rejects_bad_input():
         polar_transform(np.array([0, 2, 1, 1], dtype=np.uint8))
 
 
-@pytest.mark.parametrize("bad", [0.5, 256, 257])
+@pytest.mark.parametrize("bad", [0.5, 256, 257, np.nan, -1])
 def test_bit_inputs_reject_values_a_uint8_cast_would_hide(bad):
     bits = np.array([0, 1, bad, 1])
     with pytest.raises(ValueError, match="binary"):
@@ -93,6 +93,10 @@ def test_bit_inputs_reject_values_a_uint8_cast_would_hide(bad):
         polar_transform(bits[None])
     with pytest.raises(ValueError, match="bit-vector"):
         genie_posteriors(np.ones(4), bits)
+    # bools are bits
+    flags = np.array([False, True, True, False])
+    assert (polar_transform(flags) == polar_transform(flags.astype(np.uint8))).all()
+    genie_posteriors(np.ones(4), flags)
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,10 @@ def test_config_validation():
         ExperimentConfig(n=64, delta_list=(0.6,))
     with pytest.raises(ValueError, match="expected one of .*'quaternary'"):
         ExperimentConfig(n=64, delta_list=(0.01,), error_kind="duplication")
+    # a bare rate is no list of rates: a float is not iterable, and a str iterates by character
+    for bare in (0.01, "0.01"):
+        with pytest.raises(ValueError, match=f"^delta_list must be a sequence of rates, got {bare!r}$"):
+            ExperimentConfig(n=64, delta_list=bare)
     assert sim.ERROR_KINDS == ("deletion", "insertion", "substitution", "quaternary")
     for kind in sim.ERROR_KINDS:
         assert ExperimentConfig(n=64, delta_list=(0.01,), error_kind=kind).error_kind == kind

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ def test_llr_sign_symmetry_and_erasure():
 def test_llr_table_layout():
     t = _llr_table(0.01)
     assert t.tolist() == [math.log(0.99 / 0.01), -math.log(0.99 / 0.01), 0.0]
+
+
+def test_llr_of_a_subnormal_rate_is_finite():
+    # (1 - delta) / delta overflows below delta ~ 5.6e-309; the model must not,
+    # and wherever the ratio is finite it keeps the ratio's bits
+    for delta in (1e-320, 5e-324):
+        assert _llr_table(delta)[0] == math.log1p(-delta) - math.log(delta) < 745.0
+    for delta in (1e-300, 0.001, 0.1, 0.4999):
+        assert _llr_table(delta)[0] == math.log((1.0 - delta) / delta)
 
 
 def test_llr_noiseless_design_is_certain():
@@ -544,12 +554,21 @@ def test_decode_pool_batch_matches_a_plain_pointer_walk(mode, n, W):
         assert moved == (mode != "fixed")
 
 
-@pytest.mark.parametrize("bad", [0.5, 256, 257])
+@pytest.mark.parametrize("bad", [0.5, 256, 257, np.nan, -1])
 def test_encode_and_pool_reject_values_a_uint8_cast_would_hide(bad):
     # 0.5 and 256 cast to 0 and 257 to 1, so the check must see the raw values
+    code = _full_rate_code(4)
     bits = np.array([[0, 1, bad, 1]])
     with pytest.raises(ValueError, match="binary"):
-        weave_encode(bits, _full_rate_code(4))
+        weave_encode(bits, code)
+    obs = np.array([[[0], [1], [bad], [ERASURE]]])
+    with pytest.raises(ValueError, match=re.escape(f"or ERASURE ({ERASURE}), got {obs[0, 2, 0]}")):
+        decode_pool_batch(obs, code, "fixed", 1)
+    # bools are bits, and observations of bits
+    flags = np.array([[False, True, True, False]])
+    assert (weave_encode(flags, code).strands == weave_encode(flags.astype(np.uint8), code).strands).all()
+    decoded = decode_pool_batch(flags.T[None], code, "fixed", 1).info_bits
+    assert (decoded[0, 0] == polar_transform(flags[0])).all()
 
 
 # ---------------------------------------------------------------------------
